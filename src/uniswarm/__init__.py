@@ -15,9 +15,9 @@ from .graphs import (ProximityGraph, RingSet, SpectralError, SpectralSummary,
                      normalized_laplacian, pairwise_distances, ring_sets, spectral_summary)
 from .harness import (CampaignSummary, ConfigError, Obstacle, RunConfig, RunResult,
                       campaign, load_trajectory, run, scenario_fig3)
-from .metrics import (EnvelopeAuditReport, RecursionAuditReport, StepMetrics,
-                      geometric_envelope_audit, recursion_audit, ring_containment_check,
-                      step_metrics, sync_detect)
+from .metrics import (EnvelopeAuditReport, MetricsBaseline, RecursionAuditReport, StepMetrics,
+                      geometric_envelope_audit, metrics_baseline, recursion_audit,
+                      ring_containment_check, step_metrics, sync_detect)
 from .reference import ReferenceSchedule
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import ModelParams, SwarmState
-from .graphs import build_graph
+from .graphs import build_graph, leader_fractions
 
 DEFAULT_SEPARATION = 10.0
 
@@ -237,12 +237,7 @@ def leader_degree_estimates(state: SwarmState, params: ModelParams,
     d2 = graph.adjacency @ mask  # leader neighbors (self counted when a leader)
     d1 = graph.degrees - d2
 
-    adj_noself = graph.adjacency.copy()
-    np.fill_diagonal(adj_noself, False)
-    n2 = adj_noself @ mask
-    n1 = adj_noself.sum(axis=1) - n2
-    denom = n1 + n2
-    alpha = np.where(denom > 0, n2 / np.where(denom > 0, denom, 1.0), 0.0)
+    alpha, _ = leader_fractions(graph, state.leader_mask)
 
     n = params.n
     alpha_n = params.alpha_n

@@ -18,11 +18,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graphs import ProximityGraph, build_graph, connectivity
+from .graphs import STRICT_ETA_MAX, ProximityGraph, build_graph, connectivity
 
 STRICT_C_MAX = 1.0 / (144.0 * 320.0)
 STRICT_C_PRIME_MAX = 1.0 / 144.0
-STRICT_ETA_MAX = 1.0 / 512.0
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,13 @@ def build_graph(positions: np.ndarray, radius: float, self_inclusive: bool = Tru
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
 
-    adjacency = pairwise_distances(positions) < radius
+    return graph_from_distances(pairwise_distances(positions), radius, self_inclusive)
+
+
+def graph_from_distances(distances: np.ndarray, radius: float,
+                         self_inclusive: bool) -> ProximityGraph:
+    """The graph of :func:`build_graph` from an already computed distance matrix."""
+    adjacency = distances < radius
     np.fill_diagonal(adjacency, self_inclusive)
     degrees = adjacency.sum(axis=1)
     return ProximityGraph(radius=float(radius), adjacency=adjacency,
@@ -111,13 +117,34 @@ def averaging_matrix(graph: ProximityGraph) -> np.ndarray:
     convention is disabled, an isolated node holds its own state
     (identity row), extending the definition to degree zero.
     """
-    degrees = graph.degrees.astype(float)
+    return averaging_rows(graph, np.arange(graph.node_count))
+
+
+def averaging_rows(graph: ProximityGraph, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` (node indices) of :func:`averaging_matrix`; row i
+    depends only on the adjacency row of node i."""
+    degrees = graph.degrees[rows].astype(float)
     isolated = degrees == 0
-    p = graph.adjacency / np.where(isolated, 1.0, degrees)[:, None]
+    p = graph.adjacency[rows] / np.where(isolated, 1.0, degrees)[:, None]
     if isolated.any():
         idx = np.where(isolated)[0]
-        p[idx, idx] = 1.0
+        p[idx, rows[idx]] = 1.0
     return p
+
+
+def leader_fractions(graph: ProximityGraph,
+                     leader_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """alpha_i, the leader share of each node's neighborhood with the node
+    itself excluded, and the size of that neighborhood.
+
+    alpha_i is 0 where the neighborhood is empty.
+    """
+    mask = np.asarray(leader_mask, dtype=float)
+    own = np.diagonal(graph.adjacency)
+    leaders = graph.adjacency @ mask - own * mask
+    totals = graph.degrees - own
+    fractions = np.where(totals > 0, leaders / np.where(totals > 0, totals, 1), 0.0)
+    return fractions, totals
 
 
 def normalized_laplacian(graph: ProximityGraph) -> np.ndarray:

@@ -16,10 +16,10 @@ import numpy as np
 
 from .dynamics import (CONTROLLERS, LEADER_CONSTANT, LEADER_DYNAMIC, LEADERLESS,
                        ModelParams, Trajectory, run_epoch, sample_initial)
-from .graphs import build_graph
+from .graphs import build_graph  # noqa: F401  (a layer boundary that perfbench/tracing.py wraps)
 from .metrics import (FAIL, EnvelopeAuditReport, RecursionAuditReport, StepMetrics,
-                      geometric_envelope_audit, recursion_audit, step_metrics, sync_detect,
-                      write_metrics_csv)
+                      geometric_envelope_audit, metrics_baseline, recursion_audit,
+                      step_metrics, sync_detect, write_metrics_csv)
 from .reference import ReferenceSchedule
 
 SCHEMA_VERSION = 1
@@ -160,12 +160,11 @@ def run(config: RunConfig, out_dir: str | Path | None = None) -> RunResult:
     state = sample_initial(params, config.seed)
     schedule = config.schedule.copy() if config.schedule is not None else None
 
-    integration_check = {"off": "off", "sampled": "sampled", "full": "full"}[config.audit_level]
     traj = run_epoch(state, params, config.steps, controller=config.mode,
                      schedule=schedule, reference_heading=config.reference_heading,
-                     integration_check=integration_check)
+                     integration_check=config.audit_level)
 
-    rows = _compute_metrics(traj, config, schedule)
+    rows = _compute_metrics(traj, config)
     recursion = envelope = None
     if config.audit_level != "off":
         substeps = config.substeps
@@ -200,15 +199,10 @@ def run(config: RunConfig, out_dir: str | Path | None = None) -> RunResult:
     return result
 
 
-def _compute_metrics(traj: Trajectory, config: RunConfig, schedule) -> list[StepMetrics]:
-    params = config.params
-    initial = traj.state_at(0)
-    initial_graph = build_graph(initial.positions, params.r_n, params.self_inclusive)
+def _compute_metrics(traj: Trajectory, config: RunConfig) -> list[StepMetrics]:
+    baseline = metrics_baseline(traj.state_at(0), config.params)
     rows = []
     for k in range(traj.n_steps + 1):
-        state = traj.state_at(k)
-        graph = initial_graph if k == 0 else build_graph(state.positions, params.r_n,
-                                                         params.self_inclusive)
         if config.mode == LEADERLESS:
             ref_theta, ref_v = float("nan"), float("nan")
         else:
@@ -216,7 +210,7 @@ def _compute_metrics(traj: Trajectory, config: RunConfig, schedule) -> list[Step
             idx = min(max(k - 1, 0), traj.n_steps - 1)
             ref_theta = float(traj.reference_headings[idx])
             ref_v = traj.reference_speed
-        rows.append(step_metrics(state, initial, graph, initial_graph,
+        rows.append(step_metrics(traj.state_at(k), baseline,
                                  reference_heading=ref_theta, reference_speed=ref_v))
     return rows
 

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import ModelParams, SwarmState, Trajectory
-from .graphs import (ProximityGraph, averaging_matrix, build_graph, connectivity,
-                     pairwise_distances, ring_sets)
+from .graphs import (ProximityGraph, averaging_matrix, averaging_rows, build_graph,
+                     connectivity, graph_from_distances, leader_fractions, pairwise_distances,
+                     ring_sets)
 
 PASS, SKIP, FAIL, REPORT = "PASS", "SKIP", "FAIL", "REPORT"
 
@@ -34,19 +35,32 @@ class StepMetrics:
     connected: bool
 
 
-def _alpha_fractions(graph: ProximityGraph, leader_mask: np.ndarray) -> np.ndarray:
-    """Leader fraction of each agent's neighborhood, self excluded."""
-    adj = graph.adjacency.copy()
-    np.fill_diagonal(adj, False)
-    n2 = adj @ leader_mask.astype(float)
-    total = adj.sum(axis=1)
-    return np.where(total > 0, n2 / np.where(total > 0, total, 1.0), 0.0)
+@dataclass(frozen=True)
+class MetricsBaseline:
+    """The k = 0 quantities that the metrics of every instant compare against."""
+
+    state: SwarmState
+    graph: ProximityGraph
+    distances: np.ndarray  # pairwise distances at k = 0
+    averaging: np.ndarray  # P(0)
+    alphas: np.ndarray  # alpha_i(0)
 
 
-def step_metrics(state: SwarmState, initial: SwarmState, graph: ProximityGraph,
-                 initial_graph: ProximityGraph, reference_heading: float = float("nan"),
+def metrics_baseline(initial: SwarmState, params: ModelParams) -> MetricsBaseline:
+    """Computes the k = 0 quantities once per run."""
+    distances = pairwise_distances(initial.positions)
+    graph = graph_from_distances(distances, params.r_n, params.self_inclusive)
+    alphas, _ = leader_fractions(graph, initial.leader_mask)
+    return MetricsBaseline(state=initial, graph=graph, distances=distances,
+                           averaging=averaging_matrix(graph), alphas=alphas)
+
+
+def step_metrics(state: SwarmState, baseline: MetricsBaseline,
+                 reference_heading: float = float("nan"),
                  reference_speed: float = float("nan")) -> StepMetrics:
-    if state.n_agents != initial.n_agents:
+    """Metrics of ``state``, whose neighbor graph is built from the same
+    distance matrix that gives the distance drift."""
+    if state.n_agents != baseline.state.n_agents:
         raise ValueError("state and initial must have the same agent count")
     headings, speeds = state.headings, state.speeds
     delta_theta = float(headings.max() - headings.min())
@@ -55,13 +69,23 @@ def step_metrics(state: SwarmState, initial: SwarmState, graph: ProximityGraph,
         if np.isfinite(reference_heading) else float("nan")
     tracking_v = float(np.abs(speeds - reference_speed).max()) \
         if np.isfinite(reference_speed) else float("nan")
-    drift = float(np.abs(pairwise_distances(state.positions)
-                         - pairwise_distances(initial.positions)).max())
-    p_dev = float(np.linalg.norm(averaging_matrix(graph) - averaging_matrix(initial_graph), 2))
+    distances = pairwise_distances(state.positions)
+    initial_graph = baseline.graph
+    graph = graph_from_distances(distances, initial_graph.radius, initial_graph.self_inclusive)
+    # in place: fresh m x m temporaries cost more than the arithmetic
+    distances -= baseline.distances
+    drift = float(np.abs(distances, out=distances).max())
+    # Row i of P depends only on the neighbor set of agent i, so P(t_k) - P(0)
+    # is zero outside the rows whose neighbor set changed since k = 0.
+    changed = np.where((graph.adjacency != initial_graph.adjacency).any(axis=1))[0]
+    p_dev = 0.0
+    if len(changed):
+        p_dev = float(np.linalg.norm(averaging_rows(graph, changed)
+                                     - baseline.averaging[changed], 2))
     alpha_drift = 0.0
     if state.leader_mask.any():
-        alpha_drift = float(np.abs(_alpha_fractions(graph, state.leader_mask)
-                                   - _alpha_fractions(initial_graph, initial.leader_mask)).max())
+        alphas, _ = leader_fractions(graph, state.leader_mask)
+        alpha_drift = float(np.abs(alphas - baseline.alphas).max())
     return StepMetrics(k=state.sample_index, delta_theta=delta_theta, delta_v=delta_v,
                        tracking_theta=tracking_theta, tracking_v=tracking_v,
                        max_distance_drift=drift, p_deviation=p_dev,
@@ -187,13 +211,10 @@ def geometric_envelope_audit(traj: Trajectory, params: ModelParams | None = None
     alphas = np.empty((traj.n_steps + 1, traj.headings.shape[1]))
     for k in range(traj.n_steps + 1):
         graph = build_graph(traj.positions[k], params.r_n, params.self_inclusive)
-        adj = graph.adjacency.copy()
-        np.fill_diagonal(adj, False)
-        totals = adj.sum(axis=1)
+        alphas[k], totals = leader_fractions(graph, mask)
         if (totals == 0).any():
             return EnvelopeAuditReport(
                 verdict=SKIP, reason=f"agent with empty neighborhood at step {k}")
-        alphas[k] = (adj @ mask.astype(float)) / totals
 
     mu = float(np.abs(alphas - alphas[0]).max())
     gamma = float((1.0 - (alphas[0] - mu) * vartheta).max())
@@ -249,8 +270,7 @@ def ring_containment_check(traj: Trajectory, params: ModelParams | None = None) 
     rings = ring_sets(traj.positions[0], params.r_n, params.eta_n_effective,
                       traj.leader_mask)
     ring_members = [set(r.followers.tolist()) | set(r.leaders.tolist()) for r in rings]
-    adj0 = dist0 < params.r_n
-    np.fill_diagonal(adj0, params.self_inclusive)
+    adj0 = graph_from_distances(dist0, params.r_n, params.self_inclusive).adjacency
 
     holds_up_to = -1
     contained = True
@@ -259,8 +279,7 @@ def ring_containment_check(traj: Trajectory, params: ModelParams | None = None) 
         if np.abs(dist_k - dist0).max() > budget:
             break
         holds_up_to = k
-        adj_k = dist_k < params.r_n
-        np.fill_diagonal(adj_k, params.self_inclusive)
+        adj_k = graph_from_distances(dist_k, params.r_n, params.self_inclusive).adjacency
         changed = adj_k != adj0
         for i, j in zip(*np.where(changed)):
             if j not in ring_members[i]:

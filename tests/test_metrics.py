@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from uniswarm import (ModelParams, build_graph, geometric_envelope_audit, recursion_audit,
-                      ring_containment_check, run_epoch, sample_initial, step_metrics,
-                      sync_detect)
+from uniswarm import (ModelParams, build_graph, geometric_envelope_audit, metrics_baseline,
+                      recursion_audit, ring_containment_check, run_epoch, sample_initial,
+                      step_metrics, sync_detect)
 from uniswarm.dynamics import LEADER_CONSTANT, SwarmState
+from uniswarm.graphs import averaging_matrix, matrix_deviation
 from uniswarm.metrics import (FAIL, PASS, REPORT, SKIP, _envelope_integral,
                               write_metrics_csv)
 
@@ -12,8 +13,7 @@ from conftest import make_state
 
 
 def _metrics_for(state, params, reference=float("nan")):
-    g = build_graph(state.positions, params.r_n, params.self_inclusive)
-    return step_metrics(state, state, g, g, reference_heading=reference,
+    return step_metrics(state, metrics_baseline(state, params), reference_heading=reference,
                         reference_speed=reference)
 
 
@@ -40,8 +40,8 @@ def test_step_metrics_three_agent_hand_values():
                          headings=np.array([0.1, 0.4, -0.2]),
                          speeds=np.array([0.05, 0.2, 0.1]),
                          leader_mask=np.array([False, False, True]))
-    g0 = build_graph(initial.positions, p.r_n)
-    m = step_metrics(initial, initial, g0, g0, reference_heading=0.0, reference_speed=0.2)
+    m = step_metrics(initial, metrics_baseline(initial, p), reference_heading=0.0,
+                     reference_speed=0.2)
     assert m.delta_theta == pytest.approx(0.6)
     assert m.delta_v == pytest.approx(0.15)
     assert m.tracking_theta == pytest.approx(0.4)
@@ -51,9 +51,72 @@ def test_step_metrics_three_agent_hand_values():
 
 def test_step_metrics_agent_count_mismatch(small_params):
     a, b = sample_initial(small_params, 0), make_state(3, seed=1)
-    g = build_graph(a.positions, small_params.r_n)
     with pytest.raises(ValueError, match="agent count"):
-        step_metrics(b, a, g, g)
+        step_metrics(b, metrics_baseline(a, small_params))
+
+
+def _p_deviation(positions, initial_positions, radius, self_inclusive):
+    """step_metrics' p_deviation next to the dense ||P(t_k) - P(0)|| oracle."""
+    m = len(positions)
+    params = ModelParams(n=m, r_n=radius, v_n=0.1, tau_n=0.01, self_inclusive=self_inclusive)
+
+    def state(x):
+        return SwarmState(positions=np.asarray(x, dtype=float), headings=np.zeros(m),
+                          speeds=np.zeros(m), leader_mask=np.zeros(m, dtype=bool))
+
+    got = step_metrics(state(positions), metrics_baseline(state(initial_positions), params))
+    dense = matrix_deviation(
+        averaging_matrix(build_graph(positions, radius, self_inclusive)),
+        averaging_matrix(build_graph(initial_positions, radius, self_inclusive)))
+    return got.p_deviation, dense
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_p_deviation_matches_dense_oracle(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 40))
+    radius = float(rng.uniform(0.1, 0.5))
+    initial = rng.random((m, 2))
+    moved = initial + rng.normal(scale=0.05, size=(m, 2))
+    got, dense = _p_deviation(moved, initial, radius, self_inclusive=bool(seed % 2))
+    assert abs(got - dense) <= 1e-12 * max(1.0, dense)
+
+
+FAR = (5.0, 5.0)
+
+
+@pytest.mark.parametrize("isolated_at", ["initial", "now", "both"])
+def test_p_deviation_isolated_agent_without_self_loop(isolated_at):
+    # with self_inclusive=False an isolated agent has an identity row in P
+    rng = np.random.default_rng(17)
+    initial = rng.random((12, 2))
+    moved = initial + rng.normal(scale=0.03, size=(12, 2))
+    if isolated_at in ("initial", "both"):
+        initial[0] = FAR
+    if isolated_at in ("now", "both"):
+        moved[0] = (-FAR[0], FAR[1])
+    got, dense = _p_deviation(moved, initial, 0.4, self_inclusive=False)
+    assert dense > 0.0
+    assert abs(got - dense) <= 1e-12 * max(1.0, dense)
+
+
+def test_p_deviation_coincident_agents():
+    rng = np.random.default_rng(18)
+    initial = rng.random((10, 2))
+    initial[1] = initial[0]
+    moved = initial + rng.normal(scale=0.05, size=(10, 2))
+    moved[3] = moved[2] = moved[0]
+    for self_inclusive in (True, False):
+        got, dense = _p_deviation(moved, initial, 0.35, self_inclusive)
+        assert abs(got - dense) <= 1e-12 * max(1.0, dense)
+
+
+def test_p_deviation_exactly_zero_without_neighbor_change():
+    rng = np.random.default_rng(19)
+    initial = rng.random((15, 2))
+    for self_inclusive in (True, False):
+        got, dense = _p_deviation(initial + 1e-9, initial, 0.3, self_inclusive)
+        assert got == 0.0 and dense == 0.0
 
 
 def test_envelope_integral_exact_for_linear_envelope():
@@ -146,6 +209,19 @@ def test_envelope_audit_skips_nonconstant_reference():
     assert rep.verdict == SKIP and "constant" in rep.reason
 
 
+def test_envelope_audit_skips_agent_with_empty_neighborhood():
+    p = ModelParams(n=4, alpha_n=0.5, r_n=0.3, v_n=0.1, tau_n=0.01, vartheta=0.5)
+    state = SwarmState(positions=np.array([[0.5, 0.5], [0.55, 0.5], [0.5, 0.55], [5.0, 5.0],
+                                           [0.45, 0.5], [0.5, 0.45]]),
+                       headings=np.array([0.1, -0.1, 0.2, 3.0, 0.0, 0.05]),
+                       speeds=np.array([0.05, 0.08, 0.06, 0.0, 0.1, 0.09]),
+                       leader_mask=np.array([False] * 4 + [True] * 2))
+    traj = run_epoch(state, p, 5, controller=LEADER_CONSTANT, reference_heading=0.0)
+    rep = geometric_envelope_audit(traj)
+    assert rep.verdict == SKIP
+    assert rep.reason == "agent with empty neighborhood at step 0"
+
+
 def test_sync_detect_cases():
     p = ModelParams(n=4, r_n=0.5, v_n=0.1, tau_n=0.01)
     state = sample_initial(p, 9)
@@ -188,13 +264,10 @@ def test_p_deviation_bound_when_containment_holds():
     traj = run_epoch(state, p, 20)
     check = ring_containment_check(traj)
     assert check["containment_holds"]
-    g0 = build_graph(traj.positions[0], p.r_n)
-    initial = traj.state_at(0)
+    baseline = metrics_baseline(traj.state_at(0), p)
     bound = 80.0 * p.eta_n_effective * 1.25
     for k in range(traj.n_steps + 1):
-        state_k = traj.state_at(k)
-        gk = build_graph(state_k.positions, p.r_n)
-        m = step_metrics(state_k, initial, gk, g0)
+        m = step_metrics(traj.state_at(k), baseline)
         assert m.p_deviation <= bound + 1e-12
 
 
@@ -202,21 +275,17 @@ def test_alpha_drift_bound_under_negligible_drift():
     p = ModelParams(n=15, r_n=0.4, v_n=1e-9, tau_n=0.01, alpha_n=0.2)
     state = sample_initial(p, 14)
     traj = run_epoch(state, p, 20, controller=LEADER_CONSTANT, reference_heading=0.1)
-    g0 = build_graph(traj.positions[0], p.r_n)
-    initial = traj.state_at(0)
+    baseline = metrics_baseline(traj.state_at(0), p)
     bound = 256.0 * p.eta * p.alpha_n
     for k in range(traj.n_steps + 1):
-        state_k = traj.state_at(k)
-        gk = build_graph(state_k.positions, p.r_n)
-        m = step_metrics(state_k, initial, gk, g0)
+        m = step_metrics(traj.state_at(k), baseline)
         assert m.alpha_drift <= bound + 1e-12
 
 
 def test_write_metrics_csv(tmp_path):
     p = ModelParams(n=5, r_n=0.5, v_n=0.1, tau_n=0.01)
     state = sample_initial(p, 15)
-    g = build_graph(state.positions, p.r_n)
-    rows = [step_metrics(state, state, g, g)]
+    rows = [step_metrics(state, metrics_baseline(state, p))]
     path = tmp_path / "metrics.csv"
     write_metrics_csv(rows, path)
     lines = path.read_text().splitlines()
