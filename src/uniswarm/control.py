@@ -55,14 +55,6 @@ def leader_control(agent: int, state: SwarmState, graph: ProximityGraph, tau: fl
     return ControlSignal(omega=omega, u=u)
 
 
-def dynamic_leader_control(agent: int, state: SwarmState, graph: ProximityGraph, tau: float,
-                           vartheta: float, schedule, reference_speed: float,
-                           strict: bool = False) -> ControlSignal:
-    """Leader control against the schedule's current desired heading."""
-    return leader_control(agent, state, graph, tau, vartheta,
-                          schedule.current_heading, reference_speed, strict=strict)
-
-
 def write_controls_csv(trajectory, path) -> None:
     """Per-step control export ``k,agent,omega,u`` (requires record_controls)."""
     if trajectory.controls_omega is None:

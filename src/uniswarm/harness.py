@@ -68,6 +68,8 @@ class RunConfig:
             raise ValueError(f"audit_level must be one of {AUDIT_LEVELS}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if self.substeps < 1:
+            raise ValueError("substeps must be >= 1")
 
     def to_dict(self) -> dict:
         out = {
@@ -239,12 +241,13 @@ def write_run_outputs(result: RunResult, out_dir) -> dict:
 
 
 ROLE_LABELS = ("follower", "leader")
+TRAJECTORY_HEADER = "k,t,agent,role,x,y,theta,v"
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     roles = [ROLE_LABELS[int(x)] for x in traj.leader_mask]
     with open(path, "w", newline="") as fh:
-        fh.write("k,t,agent,role,x,y,theta,v\n")
+        fh.write(TRAJECTORY_HEADER + "\n")
         for k in range(traj.n_steps + 1):
             t = traj.times[k]
             for i in range(len(roles)):
@@ -254,27 +257,50 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def load_trajectory(run_dir) -> Trajectory:
-    """Rebuild a trajectory record from a stored run directory."""
+    """Rebuild a trajectory record from a stored run directory.
+
+    ``trajectory.csv`` must carry exactly the header ``write_trajectory_csv``
+    writes and one row per (k, agent) for k in 0..steps and agent in 0..m-1,
+    in any order; anything else raises ``ValueError``.
+    """
     run_dir = Path(run_dir)
     with open(run_dir / "run_meta.json") as fh:
         meta = json.load(fh)
     params = ModelParams(**meta["params"])
-    data = np.genfromtxt(run_dir / "trajectory.csv", delimiter=",", names=True,
-                         dtype=None, encoding="utf-8")
-    ks = data["k"].astype(int)
-    n_instants = ks.max() + 1
-    m = int((ks == 0).sum())
+    path = run_dir / "trajectory.csv"
+    with open(path) as fh:
+        header = fh.readline().rstrip("\r\n")
+        empty = not fh.readline()
+    if header != TRAJECTORY_HEADER:
+        raise ValueError(f"{path}: header {header!r} is not {TRAJECTORY_HEADER!r}")
+    if empty:
+        raise ValueError(f"{path}: no rows")
+    # numpy's C parser; columns by position: k, agent, x, y, theta, v
+    data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 2, 4, 5, 6, 7), ndmin=2)
+    ks, agents = data[:, 0].astype(int), data[:, 1].astype(int)
+    n_instants = int(meta.get("steps", ks.max())) + 1
+    m = int(agents.max()) + 1
+    in_grid = ((ks == data[:, 0]) & (agents == data[:, 1]) & (ks >= 0) & (ks < n_instants)
+               & (agents >= 0))
+    if (not in_grid.all() or len(ks) != n_instants * m
+            or (np.bincount(ks * m + agents) != 1).any()):
+        raise ValueError(f"{path}: rows are not exactly one per (k, agent) for "
+                         f"k in 0..{n_instants - 1} and agent in 0..{m - 1}")
     positions = np.empty((n_instants, m, 2))
     headings = np.empty((n_instants, m))
     speeds = np.empty((n_instants, m))
-    agents = data["agent"].astype(int)
-    positions[ks, agents, 0] = data["x"]
-    positions[ks, agents, 1] = data["y"]
-    headings[ks, agents] = data["theta"]
-    speeds[ks, agents] = data["v"]
+    positions[ks, agents, 0] = data[:, 2]
+    positions[ks, agents, 1] = data[:, 3]
+    headings[ks, agents] = data[:, 4]
+    speeds[ks, agents] = data[:, 5]
+    # roles are read from the rows of k = 0 only
+    first = np.flatnonzero(ks == 0)
+    roles = np.loadtxt(path, delimiter=",", skiprows=1, usecols=3, dtype=str,
+                       max_rows=int(first[-1]) + 1, ndmin=1)[first]
+    if not np.isin(roles, ROLE_LABELS).all():
+        raise ValueError(f"{path}: role is not one of {ROLE_LABELS}")
     leader_mask = np.zeros(m, dtype=bool)
-    first = agents[ks == 0]
-    leader_mask[first] = data["role"][ks == 0] == "leader"
+    leader_mask[agents[first]] = roles == "leader"
 
     mode = meta.get("mode", LEADERLESS)
     steps = n_instants - 1

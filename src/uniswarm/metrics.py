@@ -93,17 +93,19 @@ def step_metrics(state: SwarmState, baseline: MetricsBaseline,
 
 
 def _envelope_integral(values_k: np.ndarray, values_k1: np.ndarray, tau: float,
-                       substeps: int) -> float:
-    """integral over the dwell interval of max_i x_i(t) - min_i x_i(t).
+                       substeps: int) -> np.ndarray:
+    """Per row b, the integral over the dwell interval of
+    max_i x_bi(t) - min_i x_bi(t), for values_k, values_k1 of shape (B, m).
 
     Per-agent signals are linear in t, so the envelope is piecewise linear
     and convex; the trapezoid rule on the substep grid over-estimates it,
     which keeps the audit's right-hand side conservative.
     """
-    s = np.linspace(0.0, 1.0, substeps + 1)
-    interp = np.outer(1.0 - s, values_k) + np.outer(s, values_k1)  # (S+1, m)
-    envelope = interp.max(axis=1) - interp.min(axis=1)
-    return float(np.trapezoid(envelope, dx=1.0 / substeps) * tau)
+    s = np.linspace(0.0, 1.0, substeps + 1)[:, None]
+    interp = (1.0 - s) * values_k[:, None, :]  # (B, S+1, m)
+    interp += s * values_k1[:, None, :]
+    envelope = interp.max(axis=2) - interp.min(axis=2)
+    return np.trapezoid(envelope, dx=1.0 / substeps, axis=1) * tau
 
 
 @dataclass
@@ -124,6 +126,11 @@ class RecursionAuditReport:
                 "fail_count": self.fail_count, "max_violation": self.max_violation}
 
 
+# Instants per block of the envelope integrals: their (block, S+1, m)
+# temporaries stay a few MB instead of growing with the trajectory length.
+_AUDIT_BLOCK = 128
+
+
 def recursion_audit(traj: Trajectory, substep_count: int = 16) -> RecursionAuditReport:
     """Checks, for every step and the maximizing pair,
     |Delta_ij(t_{k+1}) - Delta_ij(t_k)|
@@ -134,30 +141,36 @@ def recursion_audit(traj: Trajectory, substep_count: int = 16) -> RecursionAudit
     """
     if traj.n_steps < 1:
         raise ValueError("trajectory needs at least 2 sampling instants")
-    tau = traj.params.tau_n
-    verdicts: list[str] = []
-    slacks = np.empty(traj.n_steps)
-    fails = 0
-    max_violation = 0.0
+    if substep_count < 1:
+        raise ValueError(f"substep_count must be >= 1, got {substep_count}")
+    steps, tau = traj.n_steps, traj.params.tau_n
+    speeds, headings = traj.speeds, traj.headings
+    int_dv = np.empty(steps)
+    int_dth = np.empty(steps)
+    for start in range(0, steps, _AUDIT_BLOCK):
+        stop = min(start + _AUDIT_BLOCK, steps)
+        k, k1 = slice(start, stop), slice(start + 1, stop + 1)
+        int_dv[k] = _envelope_integral(speeds[k], speeds[k1], tau, substep_count)
+        int_dth[k] = _envelope_integral(headings[k], headings[k1], tau, substep_count)
+    vmax = np.abs(speeds[:-1]).max(axis=1)
+    rhs = 2.0 * int_dv + 2.0 * vmax * int_dth
+
+    lhs = np.empty(steps)
     dist_k = pairwise_distances(traj.positions[0])
-    for k in range(traj.n_steps):
+    change = np.empty_like(dist_k)
+    for k in range(steps):
         dist_k1 = pairwise_distances(traj.positions[k + 1])
-        lhs = float(np.abs(dist_k1 - dist_k).max())
-        int_dv = _envelope_integral(traj.speeds[k], traj.speeds[k + 1], tau, substep_count)
-        int_dth = _envelope_integral(traj.headings[k], traj.headings[k + 1], tau, substep_count)
-        vmax = float(np.abs(traj.speeds[k]).max())
-        rhs = 2.0 * int_dv + 2.0 * vmax * int_dth
-        slack = rhs - lhs
-        slacks[k] = slack
-        if slack < -_AUDIT_TOL:
-            verdicts.append(FAIL)
-            fails += 1
-            max_violation = max(max_violation, -slack)
-        else:
-            verdicts.append(PASS)
+        # in place: fresh m x m temporaries cost more than the arithmetic
+        np.subtract(dist_k1, dist_k, out=change)
+        lhs[k] = np.abs(change, out=change).max()
         dist_k = dist_k1
-    return RecursionAuditReport(verdicts=verdicts, slacks=slacks, fail_count=fails,
-                                max_violation=max_violation)
+
+    slacks = rhs - lhs
+    failed = slacks < -_AUDIT_TOL
+    verdicts = np.where(failed, FAIL, PASS).tolist()
+    max_violation = float(-slacks[failed].min()) if failed.any() else 0.0
+    return RecursionAuditReport(verdicts=verdicts, slacks=slacks,
+                                fail_count=int(failed.sum()), max_violation=max_violation)
 
 
 @dataclass
@@ -274,9 +287,11 @@ def ring_containment_check(traj: Trajectory, params: ModelParams | None = None) 
 
     holds_up_to = -1
     contained = True
+    drift = np.empty_like(dist0)
     for k in range(traj.n_steps + 1):
         dist_k = pairwise_distances(traj.positions[k])
-        if np.abs(dist_k - dist0).max() > budget:
+        np.subtract(dist_k, dist0, out=drift)
+        if np.abs(drift, out=drift).max() > budget:
             break
         holds_up_to = k
         adj_k = graph_from_distances(dist_k, params.r_n, params.self_inclusive).adjacency

@@ -73,11 +73,3 @@ class ReferenceSchedule:
                                  restrict_to_followers=self.restrict_to_followers,
                                  last_switch_index=self.last_switch_index)
 
-
-def maybe_advance(schedule: ReferenceSchedule, state) -> tuple[ReferenceSchedule, bool]:
-    switched = schedule.maybe_advance(state)
-    return schedule, switched
-
-
-def total_variation(schedule: ReferenceSchedule) -> float:
-    return schedule.total_variation()

@@ -94,6 +94,24 @@ def test_audit_reproduces_run_verdicts(tmp_path, config_path, capsys):
     assert report["envelope_verdict"] == stored["envelope"]["verdict"]
 
 
+def test_audit_truncated_trajectory_exits_2(tmp_path, config_path, capsys):
+    out = tmp_path / "r"
+    main(["run", "--config", str(config_path), "--out", str(out)])
+    path = out / "trajectory.csv"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-5]))
+    capsys.readouterr()
+    assert main(["audit", "--traj", str(out)]) == EXIT_CONFIG
+    assert "trajectory.csv" in capsys.readouterr().err
+
+
+def test_audit_zero_substeps_exits_2(tmp_path, config_path, capsys):
+    out = tmp_path / "r"
+    main(["run", "--config", str(config_path), "--out", str(out)])
+    capsys.readouterr()
+    assert main(["audit", "--traj", str(out), "--substeps", "0"]) == EXIT_CONFIG
+    assert "substep_count" in capsys.readouterr().err
+
+
 def test_out_dir_env_override(tmp_path, config_path, monkeypatch):
     env_out = tmp_path / "env_out"
     monkeypatch.setenv("UNISWARM_OUT", str(env_out))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from uniswarm import (build_graph, dynamic_leader_control, follower_control,
-                      leader_control, leader_discrete_step, leaderless_discrete_step)
+from uniswarm import (build_graph, follower_control, leader_control, leader_discrete_step,
+                      leaderless_discrete_step)
 from uniswarm.control import write_controls_csv
 from uniswarm.dynamics import ModelParams, SwarmState, run_epoch, sample_initial
 from uniswarm.reference import ReferenceSchedule
@@ -124,14 +124,14 @@ def test_translation_invariance():
     assert shift_l.omega - base_l.omega == pytest.approx(-vartheta * 2.0 / TAU, rel=1e-9)
 
 
-def test_dynamic_leader_control_delegates_and_tracks_switches():
+def test_leader_control_tracks_schedule_switches():
     state = _clustered_state([0.0, 0.0], leader_mask=[False, True])
     g = build_graph(state.positions, 1.0)
     schedule = ReferenceSchedule(headings=[0.0, np.pi / 2], epsilon=0.05)
-    sig0 = dynamic_leader_control(1, state, g, TAU, 1.0, schedule, 0.0)
-    assert sig0.omega == leader_control(1, state, g, TAU, 1.0, 0.0, 0.0).omega
+    sig0 = leader_control(1, state, g, TAU, 1.0, schedule.current_heading, 0.0)
+    assert sig0.omega == 0.0
     assert schedule.maybe_advance(state)  # all headings at 0 = current reference
-    sig1 = dynamic_leader_control(1, state, g, TAU, 1.0, schedule, 0.0)
+    sig1 = leader_control(1, state, g, TAU, 1.0, schedule.current_heading, 0.0)
     assert sig1.omega == pytest.approx((np.pi / 2) / TAU, rel=1e-14)
 
 

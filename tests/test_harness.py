@@ -30,6 +30,9 @@ def test_config_validation():
     cfg.audit_level = "loud"
     with pytest.raises(ValueError, match="audit_level"):
         cfg.validate()
+    cfg = _leaderless_config(substeps=0)
+    with pytest.raises(ValueError, match="substeps"):
+        cfg.validate()
 
 
 def test_config_json_roundtrip(tmp_path):
@@ -62,6 +65,10 @@ def test_config_from_json_errors(tmp_path):
         "steps": 5, "mode": "leader_dynamic"}))
     with pytest.raises(ConfigError, match="schedule"):
         RunConfig.from_json(inconsistent)
+    zero_substeps = tmp_path / "zero_substeps.json"
+    zero_substeps.write_text(json.dumps({**_leaderless_config().to_dict(), "substeps": 0}))
+    with pytest.raises(ConfigError, match="substeps"):
+        RunConfig.from_json(zero_substeps)
 
 
 def test_run_writes_all_outputs(tmp_path):
@@ -98,6 +105,59 @@ def test_load_trajectory_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.headings, result.trajectory.headings)
     np.testing.assert_array_equal(loaded.speeds, result.trajectory.speeds)
     np.testing.assert_array_equal(loaded.leader_mask, result.trajectory.leader_mask)
+
+
+def _stored_rows(tmp_path):
+    """A stored run's trajectory.csv, as a header line and a list of row lines."""
+    run(_leaderless_config(steps=6), out_dir=tmp_path)
+    header, *rows = (tmp_path / "trajectory.csv").read_text().splitlines(keepends=True)
+    return header, rows
+
+
+def test_load_trajectory_leader_roles_and_any_row_order(tmp_path):
+    params = ModelParams(n=6, alpha_n=0.5, r_n=0.5, v_n=0.05, tau_n=0.01)
+    result = run(RunConfig(params=params, steps=6, seed=3, mode=LEADER_CONSTANT),
+                 out_dir=tmp_path)
+    path = tmp_path / "trajectory.csv"
+    header, *rows = path.read_text().splitlines(keepends=True)
+    path.write_text(header + "".join(rows[::-1]))
+    loaded = load_trajectory(tmp_path)
+    assert loaded.leader_mask.sum() == 3
+    np.testing.assert_array_equal(loaded.leader_mask, result.trajectory.leader_mask)
+    np.testing.assert_array_equal(loaded.positions, result.trajectory.positions)
+    np.testing.assert_array_equal(loaded.speeds, result.trajectory.speeds)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "duplicate_appended", "duplicate_replaces",
+                                    "missing_instant", "agent_out_of_grid", "bad_role"])
+def test_load_trajectory_rejects_incomplete_grid(tmp_path, damage):
+    header, rows = _stored_rows(tmp_path)
+    if damage == "truncated":
+        rows = rows[:-5]
+    elif damage == "duplicate_appended":
+        rows = rows + [rows[3]]
+    elif damage == "duplicate_replaces":
+        rows = rows[:-1] + [rows[3]]
+    elif damage == "missing_instant":
+        rows = rows[:-10]  # every row of the last instant: steps says 6
+    elif damage == "agent_out_of_grid":
+        rows[7] = rows[7].replace(",7,", ",70,", 1)
+    else:
+        rows[0] = rows[0].replace("follower", "captain")
+    (tmp_path / "trajectory.csv").write_text(header + "".join(rows))
+    with pytest.raises(ValueError, match="trajectory.csv"):
+        load_trajectory(tmp_path)
+
+
+def test_load_trajectory_rejects_reordered_header(tmp_path):
+    header, rows = _stored_rows(tmp_path)
+    assert header == "k,t,agent,role,x,y,theta,v\n"
+    (tmp_path / "trajectory.csv").write_text("k,t,agent,role,y,x,theta,v\n" + "".join(rows))
+    with pytest.raises(ValueError, match="header"):
+        load_trajectory(tmp_path)
+    (tmp_path / "trajectory.csv").write_text(header)
+    with pytest.raises(ValueError, match="no rows"):
+        load_trajectory(tmp_path)
 
 
 def test_campaign_single_seed_matches_run():

@@ -5,8 +5,8 @@ from uniswarm import (ModelParams, build_graph, geometric_envelope_audit, metric
                       recursion_audit, ring_containment_check, run_epoch, sample_initial,
                       step_metrics, sync_detect)
 from uniswarm.dynamics import LEADER_CONSTANT, SwarmState
-from uniswarm.graphs import averaging_matrix, matrix_deviation
-from uniswarm.metrics import (FAIL, PASS, REPORT, SKIP, _envelope_integral,
+from uniswarm.graphs import averaging_matrix, matrix_deviation, pairwise_distances
+from uniswarm.metrics import (_AUDIT_BLOCK, FAIL, PASS, REPORT, SKIP, _envelope_integral,
                               write_metrics_csv)
 
 from conftest import make_state
@@ -121,20 +121,105 @@ def test_p_deviation_exactly_zero_without_neighbor_change():
 
 def test_envelope_integral_exact_for_linear_envelope():
     # two agents: envelope |(v1-v2)(s)| is linear when no crossing occurs
-    vk = np.array([0.0, 1.0])
-    vk1 = np.array([0.0, 0.5])
+    vk = np.array([[0.0, 1.0], [0.0, 2.0]])
+    vk1 = np.array([[0.0, 0.5], [0.0, 1.0]])
     got = _envelope_integral(vk, vk1, tau=2.0, substeps=16)
-    assert got == pytest.approx(2.0 * (1.0 + 0.5) / 2, rel=1e-12)
+    assert got.shape == (2,)
+    np.testing.assert_allclose(got, [2.0 * (1.0 + 0.5) / 2, 2.0 * (2.0 + 1.0) / 2], rtol=1e-12)
 
 
 def test_envelope_integral_refinement_conservative():
     # the trapezoid of a convex envelope over-estimates; refinement decreases
     rng = np.random.default_rng(0)
-    vk, vk1 = rng.random(8), rng.random(8)
+    vk, vk1 = rng.random((5, 8)), rng.random((5, 8))
     coarse = _envelope_integral(vk, vk1, 1.0, 4)
     fine = _envelope_integral(vk, vk1, 1.0, 64)
     finest = _envelope_integral(vk, vk1, 1.0, 512)
-    assert coarse >= fine - 1e-15 >= finest - 2e-15
+    assert np.all(coarse >= fine - 1e-15) and np.all(fine - 1e-15 >= finest - 2e-15)
+
+
+def _oracle_envelope_integral(values_k, values_k1, tau, substeps):
+    """The per-step envelope integral the audit used before it was vectorised."""
+    s = np.linspace(0.0, 1.0, substeps + 1)
+    interp = np.outer(1.0 - s, values_k) + np.outer(s, values_k1)  # (S+1, m)
+    envelope = interp.max(axis=1) - interp.min(axis=1)
+    return float(np.trapezoid(envelope, dx=1.0 / substeps) * tau)
+
+
+def _oracle_recursion_audit(traj, substep_count=16):
+    """The per-step recursion audit loop, kept as the reference for the
+    vectorised one: same arithmetic, one step at a time."""
+    tau = traj.params.tau_n
+    verdicts, slacks = [], np.empty(traj.n_steps)
+    fails, max_violation = 0, 0.0
+    dist_k = pairwise_distances(traj.positions[0])
+    for k in range(traj.n_steps):
+        dist_k1 = pairwise_distances(traj.positions[k + 1])
+        lhs = float(np.abs(dist_k1 - dist_k).max())
+        int_dv = _oracle_envelope_integral(traj.speeds[k], traj.speeds[k + 1], tau,
+                                           substep_count)
+        int_dth = _oracle_envelope_integral(traj.headings[k], traj.headings[k + 1], tau,
+                                            substep_count)
+        vmax = float(np.abs(traj.speeds[k]).max())
+        slack = 2.0 * int_dv + 2.0 * vmax * int_dth - lhs
+        slacks[k] = slack
+        if slack < -1e-9:
+            verdicts.append(FAIL)
+            fails += 1
+            max_violation = max(max_violation, -slack)
+        else:
+            verdicts.append(PASS)
+        dist_k = dist_k1
+    return verdicts, slacks, fails, max_violation
+
+
+def _assert_matches_oracle(traj, substep_count=16):
+    rep = recursion_audit(traj, substep_count=substep_count)
+    verdicts, slacks, fails, max_violation = _oracle_recursion_audit(traj, substep_count)
+    assert rep.verdicts == verdicts
+    assert rep.fail_count == fails
+    assert rep.max_violation == max_violation
+    assert np.array_equal(rep.slacks, slacks)
+    return rep
+
+
+def _random_trajectory(seed, steps):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 30))
+    params = ModelParams(n=m, r_n=float(rng.uniform(0.2, 0.6)), v_n=float(rng.uniform(0.0, 0.3)),
+                         tau_n=float(rng.uniform(0.005, 0.05)))
+    return run_epoch(sample_initial(params, seed), params, steps)
+
+
+@pytest.mark.parametrize("steps", [1, _AUDIT_BLOCK - 1, _AUDIT_BLOCK, _AUDIT_BLOCK + 1,
+                                   3 * _AUDIT_BLOCK + 57])
+@pytest.mark.parametrize("seed", range(3))
+def test_recursion_audit_matches_per_step_oracle(seed, steps):
+    _assert_matches_oracle(_random_trajectory(seed, steps))
+
+
+@pytest.mark.parametrize("substeps", [1, 3, 16, 128])
+def test_recursion_audit_matches_oracle_across_substeps(substeps):
+    _assert_matches_oracle(_random_trajectory(7, 40), substep_count=substeps)
+
+
+def test_recursion_audit_fails_tampered_trajectory_like_oracle():
+    traj = _random_trajectory(11, _AUDIT_BLOCK + 10)
+    # teleport one agent at two instants, one in each block: distances jump
+    # while speeds and headings stay put, so the right-hand side cannot cover it
+    for k in (5, _AUDIT_BLOCK + 3):
+        traj.positions[k, 0] += 0.5
+    rep = _assert_matches_oracle(traj)
+    assert rep.fail_count == 4
+    assert [k for k, v in enumerate(rep.verdicts) if v == FAIL] == \
+        [4, 5, _AUDIT_BLOCK + 2, _AUDIT_BLOCK + 3]
+    assert rep.max_violation > 0.4
+
+
+def test_recursion_audit_rejects_zero_substeps():
+    traj = _random_trajectory(0, 5)
+    with pytest.raises(ValueError, match="substep_count"):
+        recursion_audit(traj, substep_count=0)
 
 
 def test_recursion_audit_stationary_swarm():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from uniswarm import ReferenceSchedule
-from uniswarm.reference import maybe_advance, total_variation
 
 from conftest import make_state
 
@@ -29,7 +28,6 @@ def test_jumps_and_total_variation():
     sched = ReferenceSchedule(headings=FIG3_HEADINGS)
     np.testing.assert_allclose(sched.jumps, [np.pi / 2] * 4)
     assert sched.total_variation() == pytest.approx(2 * np.pi)
-    assert total_variation(sched) == sched.total_variation()
 
 
 def test_total_variation_degenerate_schedules():
@@ -73,7 +71,7 @@ def test_monotone_progress_and_increasing_log():
     segments = []
     for k in range(6):
         state = _state_at(0.0, k=k)
-        maybe_advance(sched, state)
+        sched.maybe_advance(state)
         segments.append(sched.current_segment)
     assert segments == sorted(segments)
     assert sched.switch_log == sorted(sched.switch_log)
