@@ -10,13 +10,13 @@ from .dynamics import (LEADER_CONSTANT, LEADER_DYNAMIC, LEADERLESS, AgentState,
                        advance_positions, closed_form_displacement, interpolate,
                        leader_discrete_step, leaderless_discrete_step, run_epoch,
                        sample_initial)
-from .graphs import (ProximityGraph, RingSet, SpectralError, SpectralSummary,
+from .graphs import (GraphSweep, ProximityGraph, RingSet, SpectralError, SpectralSummary,
                      averaging_matrix, build_graph, connectivity, matrix_deviation,
                      normalized_laplacian, pairwise_distances, ring_sets, spectral_summary)
 from .harness import (CampaignSummary, ConfigError, Obstacle, RunConfig, RunResult,
                       campaign, load_trajectory, run, scenario_fig3)
-from .metrics import (EnvelopeAuditReport, MetricsBaseline, RecursionAuditReport, StepMetrics,
-                      geometric_envelope_audit, metrics_baseline, recursion_audit,
+from .metrics import (EnvelopeAuditReport, MetricsBaseline, RecursionAuditReport, RunPass,
+                      StepMetrics, geometric_envelope_audit, metrics_baseline, recursion_audit,
                       ring_containment_check, step_metrics, sync_detect)
 from .reference import ReferenceSchedule
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graphs import STRICT_ETA_MAX, ProximityGraph, build_graph, connectivity
+from .graphs import STRICT_ETA_MAX, GraphSweep, ProximityGraph, connectivity
+from .graphs import build_graph  # noqa: F401  (a layer boundary that perfbench/tracing.py wraps)
 
 STRICT_C_MAX = 1.0 / (144.0 * 320.0)
 STRICT_C_PRIME_MAX = 1.0 / 144.0
@@ -319,13 +320,19 @@ def _check_convexity(old: np.ndarray, new: np.ndarray, label: str) -> None:
 
 def run_epoch(state: SwarmState, params: ModelParams, steps: int,
               controller: str = LEADERLESS, schedule=None, reference_heading: float = 0.0,
-              record_controls: bool = False, integration_check: str = "sampled") -> Trajectory:
-    """Run the hybrid loop: rebuild graph, discrete step, exact position advance.
+              record_controls: bool = False, integration_check: str = "sampled",
+              observer=None) -> Trajectory:
+    """Run the hybrid loop: neighbor graph, discrete step, exact position advance.
 
-    Graphs are rebuilt at sampling instants only; neighbor relations are
-    frozen within dwell intervals.  ``integration_check`` is one of
-    off/sampled/full and validates the closed-form position update against
-    the quadrature oracle (one agent per checked step).
+    Graphs change at sampling instants only; neighbor relations are frozen
+    within dwell intervals.  One :class:`GraphSweep` gives each instant's
+    graph, and connectivity is searched only when the graph changed.
+    ``integration_check`` is one of off/sampled/full and validates the
+    closed-form position update against the quadrature oracle (one agent
+    per checked step).  ``observer``, when given, is called at every
+    instant k = 0..steps with the instant's graph and pairwise distance
+    matrix; the loop does not read that matrix again, so the observer may
+    overwrite it.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -352,9 +359,17 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
     speeds[0] = current.speeds
     left_square = bool((current.positions < 0).any() or (current.positions > 1).any())
 
-    for k in range(steps):
-        graph = build_graph(current.positions, params.r_n, params.self_inclusive)
-        connected[k] = connectivity(graph)
+    sweep = GraphSweep(params.r_n, params.self_inclusive)
+    graph = None
+    for k in range(steps + 1):
+        previous, graph = graph, sweep.advance(current.positions)
+        if graph is not previous:
+            is_connected = connectivity(graph)
+        connected[k] = is_connected
+        if observer is not None:
+            observer(graph, sweep.distances)
+        if k == steps:
+            break
 
         if controller == LEADERLESS:
             nxt = leaderless_discrete_step(current, graph)
@@ -383,9 +398,6 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
         headings[k + 1] = current.headings
         speeds[k + 1] = current.speeds
         left_square |= bool((new_positions < 0).any() or (new_positions > 1).any())
-
-    final_graph = build_graph(current.positions, params.r_n, params.self_inclusive)
-    connected[steps] = connectivity(final_graph)
 
     return Trajectory(times=np.arange(steps + 1) * tau, positions=positions,
                       headings=headings, speeds=speeds, leader_mask=state.leader_mask.copy(),

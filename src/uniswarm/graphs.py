@@ -70,8 +70,7 @@ def pairwise_distances(positions: np.ndarray) -> np.ndarray:
     return cdist(positions, positions)
 
 
-def build_graph(positions: np.ndarray, radius: float, self_inclusive: bool = True) -> ProximityGraph:
-    """Neighbor graph with edge (i, j) iff ||X_i - X_j|| < radius (strict)."""
+def _checked_positions(positions: np.ndarray) -> np.ndarray:
     positions = np.asarray(positions, dtype=float)
     if positions.size == 0:
         raise ValueError("empty swarm")
@@ -79,20 +78,65 @@ def build_graph(positions: np.ndarray, radius: float, self_inclusive: bool = Tru
         raise ValueError(f"positions must have shape (m, 2), got {positions.shape}")
     if not np.all(np.isfinite(positions)):
         raise ValueError("positions must be finite")
+    return positions
+
+
+def _checked_radius(radius: float) -> float:
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
+    return float(radius)
 
+
+def build_graph(positions: np.ndarray, radius: float, self_inclusive: bool = True) -> ProximityGraph:
+    """Neighbor graph with edge (i, j) iff ||X_i - X_j|| < radius (strict)."""
+    positions = _checked_positions(positions)
+    _checked_radius(radius)
     return graph_from_distances(pairwise_distances(positions), radius, self_inclusive)
+
+
+def _adjacency(distances: np.ndarray, radius: float, self_inclusive: bool) -> np.ndarray:
+    adjacency = distances < radius
+    np.fill_diagonal(adjacency, self_inclusive)
+    return adjacency
+
+
+def _graph(adjacency: np.ndarray, radius: float, self_inclusive: bool) -> ProximityGraph:
+    return ProximityGraph(radius=float(radius), adjacency=adjacency,
+                          degrees=adjacency.sum(axis=1), self_inclusive=self_inclusive)
 
 
 def graph_from_distances(distances: np.ndarray, radius: float,
                          self_inclusive: bool) -> ProximityGraph:
     """The graph of :func:`build_graph` from an already computed distance matrix."""
-    adjacency = distances < radius
-    np.fill_diagonal(adjacency, self_inclusive)
-    degrees = adjacency.sum(axis=1)
-    return ProximityGraph(radius=float(radius), adjacency=adjacency,
-                          degrees=degrees, self_inclusive=self_inclusive)
+    return _graph(_adjacency(distances, radius, self_inclusive), radius, self_inclusive)
+
+
+class GraphSweep:
+    """The neighbor graphs of successive sampling instants.
+
+    Neighbor relations change only at sampling instants, and between most
+    consecutive instants they do not change at all.  Each call of
+    :meth:`advance` computes one distance matrix and the strict-``<``
+    adjacency; when that adjacency equals the previous instant's, it returns
+    the previous :class:`ProximityGraph` object itself, so a caller that
+    keeps quantities derived from a graph reuses them while ``graph is
+    previous``.  An adjacency that returns to an earlier, non-adjacent
+    instant's gets a new object.
+    """
+
+    def __init__(self, radius: float, self_inclusive: bool = True):
+        self.radius = _checked_radius(radius)
+        self.self_inclusive = self_inclusive
+        self.graph: ProximityGraph | None = None
+        self.distances: np.ndarray | None = None  # pairwise distances of the last instant
+
+    def advance(self, positions: np.ndarray) -> ProximityGraph:
+        """The graph of ``positions``, the next instant's agent positions."""
+        self.distances = pairwise_distances(_checked_positions(positions))
+        adjacency = _adjacency(self.distances, self.radius, self.self_inclusive)
+        if self.graph is None or not np.array_equal(adjacency, self.graph.adjacency):
+            self.graph = _graph(adjacency, self.radius, self.self_inclusive)
+        return self.graph
 
 
 def connectivity(graph: ProximityGraph) -> bool:
@@ -178,28 +222,38 @@ def spectral_summary(graph: ProximityGraph) -> SpectralSummary:
         eigenvalues = np.sort(eigenvalues)
         lam1 = eigenvalues[1]
         lam_top = eigenvalues[-1]
+        connected = lam1 > _CONNECTED_TOL
     else:
-        eigenvalues, lam1, lam_top = _extremal_eigenvalues(graph)
+        eigenvalues, lam1, lam_top, connected = _extremal_eigenvalues(graph)
 
     gap = max(abs(1.0 - lam1), abs(1.0 - lam_top))
     return SpectralSummary(eigenvalues=eigenvalues, spectral_gap=float(gap),
-                           is_connected=bool(lam1 > _CONNECTED_TOL))
+                           is_connected=bool(connected))
 
 
 def _extremal_eigenvalues(graph: ProximityGraph):
+    """lambda_0, lambda_1 and lambda_{n-1} of the normalized Laplacian.
+
+    A disconnected graph has lambda_1 = 0 exactly, so it gets the gap 1 of
+    the dense path without the shift-invert at sigma = 0, whose LU factor is
+    exactly singular there.
+    """
     from scipy.sparse import csr_matrix
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     lap = csr_matrix(normalized_laplacian(graph))
+    connected = connectivity(graph)
     try:
-        low = eigsh(lap, k=2, sigma=0, which="LM", return_eigenvectors=False)
         high = eigsh(lap, k=1, which="LA", return_eigenvectors=False)
+        low = (np.sort(eigsh(lap, k=2, sigma=0, which="LM", return_eigenvectors=False))
+               if connected else np.zeros(2))
     except ArpackNoConvergence as exc:
         residual = float(np.linalg.norm(getattr(exc, "eigenvalues", np.array([np.inf]))))
         raise SpectralError("eigen-solver did not converge", residual) from exc
-    low = np.sort(low)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise SpectralError(f"eigen-solver failed: {exc}", float("nan")) from exc
     eigenvalues = np.array([low[0], low[1], high[0]])
-    return eigenvalues, eigenvalues[1], eigenvalues[2]
+    return eigenvalues, eigenvalues[1], eigenvalues[2], connected
 
 
 def matrix_deviation(p_now: np.ndarray, p_initial: np.ndarray) -> float:

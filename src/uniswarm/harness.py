@@ -16,10 +16,12 @@ import numpy as np
 
 from .dynamics import (CONTROLLERS, LEADER_CONSTANT, LEADER_DYNAMIC, LEADERLESS,
                        ModelParams, Trajectory, run_epoch, sample_initial)
-from .graphs import build_graph  # noqa: F401  (a layer boundary that perfbench/tracing.py wraps)
-from .metrics import (FAIL, EnvelopeAuditReport, RecursionAuditReport, StepMetrics,
-                      geometric_envelope_audit, metrics_baseline, recursion_audit,
-                      step_metrics, sync_detect, write_metrics_csv)
+from .metrics import (FAIL, EnvelopeAuditReport, RecursionAuditReport, RunPass, StepMetrics,
+                      metrics_baseline, sync_detect, write_metrics_csv)
+# layer boundaries that perfbench/tracing.py wraps; run() computes their
+# results in its one pass over the instants
+from .graphs import build_graph  # noqa: F401
+from .metrics import geometric_envelope_audit, recursion_audit, step_metrics  # noqa: F401
 from .reference import ReferenceSchedule
 
 SCHEMA_VERSION = 1
@@ -162,17 +164,18 @@ def run(config: RunConfig, out_dir: str | Path | None = None) -> RunResult:
     state = sample_initial(params, config.seed)
     schedule = config.schedule.copy() if config.schedule is not None else None
 
+    instants = RunPass(metrics_baseline(state, params))
     traj = run_epoch(state, params, config.steps, controller=config.mode,
                      schedule=schedule, reference_heading=config.reference_heading,
-                     integration_check=config.audit_level)
+                     integration_check=config.audit_level, observer=instants.observe)
 
-    rows = _compute_metrics(traj, config)
+    rows = instants.step_metrics(traj)
     recursion = envelope = None
     if config.audit_level != "off":
-        substeps = config.substeps
-        recursion = recursion_audit(traj, substep_count=substeps)
-        envelope = geometric_envelope_audit(traj, params)
+        recursion = instants.recursion_audit(traj, substep_count=config.substeps)
+        envelope = instants.geometric_envelope_audit(traj, params)
     sync_index = sync_detect(traj, 1e-6, 1e-6)
+    disconnected = np.flatnonzero(~traj.connected)
 
     meta = {
         "schema_version": SCHEMA_VERSION,
@@ -184,6 +187,9 @@ def run(config: RunConfig, out_dir: str | Path | None = None) -> RunResult:
         "switch_log": traj.switch_log,
         "left_unit_square": traj.left_unit_square,
         "sync_index": sync_index,
+        "graph_changes": instants.graph_changes,
+        "connected_fraction": float(traj.connected.mean()),
+        "first_disconnected_step": int(disconnected[0]) if len(disconnected) else None,
         "wallclock": time.time() - started,
     }
     if config.obstacle is not None:
@@ -199,22 +205,6 @@ def run(config: RunConfig, out_dir: str | Path | None = None) -> RunResult:
     if target is not None:
         write_run_outputs(result, target)
     return result
-
-
-def _compute_metrics(traj: Trajectory, config: RunConfig) -> list[StepMetrics]:
-    baseline = metrics_baseline(traj.state_at(0), config.params)
-    rows = []
-    for k in range(traj.n_steps + 1):
-        if config.mode == LEADERLESS:
-            ref_theta, ref_v = float("nan"), float("nan")
-        else:
-            # for instant k > 0 the reference used over the previous interval
-            idx = min(max(k - 1, 0), traj.n_steps - 1)
-            ref_theta = float(traj.reference_headings[idx])
-            ref_v = traj.reference_speed
-        rows.append(step_metrics(traj.state_at(k), baseline,
-                                 reference_heading=ref_theta, reference_speed=ref_v))
-    return rows
 
 
 def write_run_outputs(result: RunResult, out_dir) -> dict:
@@ -245,15 +235,18 @@ TRAJECTORY_HEADER = "k,t,agent,role,x,y,theta,v"
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    roles = [ROLE_LABELS[int(x)] for x in traj.leader_mask]
+    # Python floats format like numpy scalars and are much cheaper to reach;
+    # one instant at a time keeps the lists small
+    agents = [f"{i},{ROLE_LABELS[int(x)]}," for i, x in enumerate(traj.leader_mask)]
     with open(path, "w", newline="") as fh:
         fh.write(TRAJECTORY_HEADER + "\n")
-        for k in range(traj.n_steps + 1):
-            t = traj.times[k]
-            for i in range(len(roles)):
-                fh.write(f"{k},{t:.17g},{i},{roles[i]},{traj.positions[k, i, 0]:.17g},"
-                         f"{traj.positions[k, i, 1]:.17g},{traj.headings[k, i]:.17g},"
-                         f"{traj.speeds[k, i]:.17g}\n")
+        for k, t in enumerate(traj.times.tolist()):
+            prefix = f"{k},{t:.17g},"
+            fh.write("".join(
+                f"{prefix}{agent}{x:.17g},{y:.17g},{theta:.17g},{v:.17g}\n"
+                for agent, (x, y), theta, v in zip(agents, traj.positions[k].tolist(),
+                                                   traj.headings[k].tolist(),
+                                                   traj.speeds[k].tolist())))
 
 
 def load_trajectory(run_dir) -> Trajectory:
@@ -307,7 +300,8 @@ def load_trajectory(run_dir) -> Trajectory:
     refs = np.full(steps, np.nan)
     if mode == LEADER_CONSTANT:
         refs[:] = meta.get("reference_heading", 0.0)
-    connected = np.zeros(n_instants, dtype=bool)  # recomputed by audits on demand
+    # connectivity is not stored in trajectory.csv, and no audit reads it
+    connected = np.zeros(n_instants, dtype=bool)
     return Trajectory(times=np.arange(n_instants) * params.tau_n, positions=positions,
                       headings=headings, speeds=speeds, leader_mask=leader_mask,
                       params=params, controller=mode, reference_headings=refs,

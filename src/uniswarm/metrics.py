@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import ModelParams, SwarmState, Trajectory
-from .graphs import (ProximityGraph, averaging_matrix, averaging_rows, build_graph,
+from .graphs import (GraphSweep, ProximityGraph, averaging_matrix, averaging_rows,
                      connectivity, graph_from_distances, leader_fractions, pairwise_distances,
                      ring_sets)
+from .graphs import build_graph  # noqa: F401  (a layer boundary that perfbench/tracing.py wraps)
 
 PASS, SKIP, FAIL, REPORT = "PASS", "SKIP", "FAIL", "REPORT"
 
@@ -62,34 +63,90 @@ def step_metrics(state: SwarmState, baseline: MetricsBaseline,
     distance matrix that gives the distance drift."""
     if state.n_agents != baseline.state.n_agents:
         raise ValueError("state and initial must have the same agent count")
-    headings, speeds = state.headings, state.speeds
-    delta_theta = float(headings.max() - headings.min())
-    delta_v = float(speeds.max() - speeds.min())
-    tracking_theta = float(np.abs(headings - reference_heading).max()) \
-        if np.isfinite(reference_heading) else float("nan")
-    tracking_v = float(np.abs(speeds - reference_speed).max()) \
-        if np.isfinite(reference_speed) else float("nan")
+    columns = _sync_columns(state.headings[None], state.speeds[None],
+                            np.array([reference_heading]), np.array([reference_speed]))
+    delta_theta, delta_v, tracking_theta, tracking_v = (float(c[0]) for c in columns)
     distances = pairwise_distances(state.positions)
     initial_graph = baseline.graph
     graph = graph_from_distances(distances, initial_graph.radius, initial_graph.self_inclusive)
-    # in place: fresh m x m temporaries cost more than the arithmetic
-    distances -= baseline.distances
-    drift = float(np.abs(distances, out=distances).max())
-    # Row i of P depends only on the neighbor set of agent i, so P(t_k) - P(0)
-    # is zero outside the rows whose neighbor set changed since k = 0.
-    changed = np.where((graph.adjacency != initial_graph.adjacency).any(axis=1))[0]
-    p_dev = 0.0
-    if len(changed):
-        p_dev = float(np.linalg.norm(averaging_rows(graph, changed)
-                                     - baseline.averaging[changed], 2))
+    drift = _max_abs_difference(distances, baseline.distances, out=distances)
     alpha_drift = 0.0
     if state.leader_mask.any():
-        alphas, _ = leader_fractions(graph, state.leader_mask)
-        alpha_drift = float(np.abs(alphas - baseline.alphas).max())
+        alpha_drift, _ = _leader_terms(graph, state.leader_mask, baseline.alphas)
     return StepMetrics(k=state.sample_index, delta_theta=delta_theta, delta_v=delta_v,
                        tracking_theta=tracking_theta, tracking_v=tracking_v,
-                       max_distance_drift=drift, p_deviation=p_dev,
+                       max_distance_drift=drift, p_deviation=_p_deviation(graph, baseline),
                        alpha_drift=alpha_drift, connected=connectivity(graph))
+
+
+# --- per-instant terms, shared by the public functions and RunPass ----------
+
+def _sync_columns(headings: np.ndarray, speeds: np.ndarray, reference_headings: np.ndarray,
+                  reference_speeds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """delta_theta, delta_v, tracking_theta and tracking_v of each row of the
+    (K, m) headings and speeds; tracking is nan where the reference is not finite."""
+    def tracking(values, references):
+        error = np.abs(values - references[:, None]).max(axis=1)
+        return np.where(np.isfinite(references), error, np.nan)
+
+    return (headings.max(axis=1) - headings.min(axis=1), speeds.max(axis=1) - speeds.min(axis=1),
+            tracking(headings, reference_headings), tracking(speeds, reference_speeds))
+
+
+def _max_abs_difference(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> float:
+    """max |a - b|, taken in ``out``, which may be ``a`` or ``b``: fresh m x m
+    temporaries cost more than the arithmetic."""
+    np.subtract(a, b, out=out)
+    return float(np.abs(out, out=out).max())
+
+
+def _p_deviation(graph: ProximityGraph, baseline: MetricsBaseline) -> float:
+    """||P(t_k) - P(0)||.  Row i of P depends only on the neighbor set of agent
+    i, so the difference is zero outside the rows whose neighbor set changed
+    since k = 0."""
+    changed = np.where((graph.adjacency != baseline.graph.adjacency).any(axis=1))[0]
+    if not len(changed):
+        return 0.0
+    return float(np.linalg.norm(averaging_rows(graph, changed) - baseline.averaging[changed], 2))
+
+
+def _leader_terms(graph: ProximityGraph, leader_mask: np.ndarray,
+                  initial_alphas: np.ndarray) -> tuple[float, bool]:
+    """max_i |alpha_i - alpha_i(0)| on ``graph``, and whether some agent's
+    neighborhood, the agent itself excluded, is empty."""
+    alphas, totals = leader_fractions(graph, leader_mask)
+    return float(np.abs(alphas - initial_alphas).max()), bool((totals == 0).any())
+
+
+def _distance_changes(positions: np.ndarray) -> np.ndarray:
+    """max over pairs of |Delta_ij(t_{k+1}) - Delta_ij(t_k)| for each step k."""
+    changes = np.empty(len(positions) - 1)
+    dist_k = pairwise_distances(positions[0])
+    for k in range(len(changes)):
+        dist_k1 = pairwise_distances(positions[k + 1])
+        changes[k] = _max_abs_difference(dist_k1, dist_k, out=dist_k)
+        dist_k = dist_k1
+    return changes
+
+
+def _leader_shares(traj: Trajectory, params: ModelParams) -> tuple[np.ndarray, float, int | None]:
+    """alpha_i(0), the alpha-drift mu, and the first instant with an empty
+    neighborhood or None; when there is such an instant, the sweep stops
+    there and mu covers only the instants before it."""
+    mask = traj.leader_mask
+    sweep = GraphSweep(params.r_n, params.self_inclusive)
+    graph = initial = None
+    mu = 0.0
+    for k, positions in enumerate(traj.positions):
+        if sweep.advance(positions) is not graph:
+            graph = sweep.graph
+            if initial is None:
+                initial, _ = leader_fractions(graph, mask)
+            drift, empty = _leader_terms(graph, mask, initial)
+        if empty:
+            return initial, mu, k
+        mu = max(mu, drift)
+    return initial, mu, None
 
 
 def _envelope_integral(values_k: np.ndarray, values_k1: np.ndarray, tau: float,
@@ -139,6 +196,12 @@ def recursion_audit(traj: Trajectory, substep_count: int = 16) -> RecursionAudit
     The inequality follows from the triangle inequality and |sin x| <= |x|,
     so any violation beyond tolerance is an implementation bug.
     """
+    return _recursion_audit(traj, substep_count, lambda: _distance_changes(traj.positions))
+
+
+def _recursion_audit(traj: Trajectory, substep_count: int,
+                     distance_changes) -> RecursionAuditReport:
+    """The audit with the left-hand sides from ``distance_changes()``."""
     if traj.n_steps < 1:
         raise ValueError("trajectory needs at least 2 sampling instants")
     if substep_count < 1:
@@ -155,17 +218,7 @@ def recursion_audit(traj: Trajectory, substep_count: int = 16) -> RecursionAudit
     vmax = np.abs(speeds[:-1]).max(axis=1)
     rhs = 2.0 * int_dv + 2.0 * vmax * int_dth
 
-    lhs = np.empty(steps)
-    dist_k = pairwise_distances(traj.positions[0])
-    change = np.empty_like(dist_k)
-    for k in range(steps):
-        dist_k1 = pairwise_distances(traj.positions[k + 1])
-        # in place: fresh m x m temporaries cost more than the arithmetic
-        np.subtract(dist_k1, dist_k, out=change)
-        lhs[k] = np.abs(change, out=change).max()
-        dist_k = dist_k1
-
-    slacks = rhs - lhs
+    slacks = rhs - distance_changes()
     failed = slacks < -_AUDIT_TOL
     verdicts = np.where(failed, FAIL, PASS).tolist()
     max_violation = float(-slacks[failed].min()) if failed.any() else 0.0
@@ -195,6 +248,14 @@ def geometric_envelope_audit(traj: Trajectory, params: ModelParams | None = None
     that rate rests on an almost-sure spectral bound.
     """
     params = traj.params if params is None else params
+    return _envelope_audit(traj, params, tol, lambda: _leader_shares(traj, params))
+
+
+def _envelope_audit(traj: Trajectory, params: ModelParams, tol: float,
+                    leader_shares) -> EnvelopeAuditReport:
+    """The audit with alpha_i(0), mu and the first instant with an empty
+    neighborhood from ``leader_shares()``, called once the premises that
+    need no graph hold."""
     if not traj.leader_mask.any():
         return _leaderless_envelope_report(traj, params)
 
@@ -221,16 +282,11 @@ def geometric_envelope_audit(traj: Trajectory, params: ModelParams | None = None
         return EnvelopeAuditReport(verdict=SKIP,
                                    reason="leader initial speed deviation exceeds (1-vartheta)B")
 
-    alphas = np.empty((traj.n_steps + 1, traj.headings.shape[1]))
-    for k in range(traj.n_steps + 1):
-        graph = build_graph(traj.positions[k], params.r_n, params.self_inclusive)
-        alphas[k], totals = leader_fractions(graph, mask)
-        if (totals == 0).any():
-            return EnvelopeAuditReport(
-                verdict=SKIP, reason=f"agent with empty neighborhood at step {k}")
-
-    mu = float(np.abs(alphas - alphas[0]).max())
-    gamma = float((1.0 - (alphas[0] - mu) * vartheta).max())
+    initial_alphas, mu, first_empty = leader_shares()
+    if first_empty is not None:
+        return EnvelopeAuditReport(
+            verdict=SKIP, reason=f"agent with empty neighborhood at step {first_empty}")
+    gamma = float((1.0 - (initial_alphas - mu) * vartheta).max())
 
     violations = 0
     worst = 0.0
@@ -261,6 +317,73 @@ def _leaderless_envelope_report(traj: Trajectory, params: ModelParams) -> Envelo
         reason="leaderless decay envelope relies on the almost-sure spectral bound",
         details={"lambda_hat": lambda_hat, "fraction_within": float(within.mean()),
                  "scale": scale})
+
+
+class RunPass:
+    """The distance- and graph-derived metrics and audit terms of one run,
+    computed in the simulation's own pass over the sampling instants.
+
+    Give :meth:`observe` to :func:`run_epoch` as its ``observer``: it then
+    sees each instant's graph and distance matrix once, and computes the
+    terms of a graph only when the graph object differs from the previous
+    instant's (see :class:`GraphSweep`).  After the run, :meth:`step_metrics`,
+    :meth:`recursion_audit` and :meth:`geometric_envelope_audit` give what
+    the public functions of the same names give on the trajectory.
+    """
+
+    def __init__(self, baseline: MetricsBaseline):
+        self.baseline = baseline
+        self.graph_changes = 0  # instants whose graph differs from the previous instant's
+        self._drift: list[float] = []  # max |Delta(t_k) - Delta(0)|
+        self._distance_change: list[float] = []  # max |Delta(t_{k+1}) - Delta(t_k)|
+        self._p_deviation: list[float] = []
+        self._alpha_drift: list[float] = []
+        self._first_empty: int | None = None
+        self._graph: ProximityGraph | None = None
+        self._graph_terms = (0.0, 0.0, False)
+        self._previous: np.ndarray | None = None
+
+    def observe(self, graph: ProximityGraph, distances: np.ndarray) -> None:
+        """Takes the next instant's graph and distance matrix, and keeps the
+        matrix as scratch space for the instant after it."""
+        k = len(self._drift)
+        scratch = self._previous if self._previous is not None else np.empty_like(distances)
+        if self._previous is not None:
+            self._distance_change.append(
+                _max_abs_difference(distances, self._previous, out=scratch))
+        self._drift.append(_max_abs_difference(distances, self.baseline.distances, out=scratch))
+        self._previous = distances
+        if graph is not self._graph:
+            self.graph_changes += self._graph is not None
+            self._graph = graph
+            leader_mask = self.baseline.state.leader_mask
+            leader_terms = ((0.0, False) if not leader_mask.any()
+                            else _leader_terms(graph, leader_mask, self.baseline.alphas))
+            self._graph_terms = (_p_deviation(graph, self.baseline), *leader_terms)
+        p_dev, alpha_drift, empty = self._graph_terms
+        if empty and self._first_empty is None:
+            self._first_empty = k
+        self._p_deviation.append(p_dev)
+        self._alpha_drift.append(alpha_drift)
+
+    def step_metrics(self, traj: Trajectory) -> list[StepMetrics]:
+        """One row per instant; instant k > 0 is tracked against the reference
+        used over the interval before it, instant 0 against the first."""
+        steps = traj.n_steps
+        previous = np.clip(np.arange(steps + 1) - 1, 0, steps - 1)
+        columns = _sync_columns(traj.headings, traj.speeds, traj.reference_headings[previous],
+                                np.full(steps + 1, traj.reference_speed))
+        return [StepMetrics(k, *row) for k, row in enumerate(zip(
+            *(c.tolist() for c in columns), self._drift, self._p_deviation, self._alpha_drift,
+            traj.connected.tolist()))]
+
+    def recursion_audit(self, traj: Trajectory, substep_count: int = 16) -> RecursionAuditReport:
+        return _recursion_audit(traj, substep_count, lambda: np.array(self._distance_change))
+
+    def geometric_envelope_audit(self, traj: Trajectory, params: ModelParams,
+                                 tol: float = _AUDIT_TOL) -> EnvelopeAuditReport:
+        shares = (self.baseline.alphas, max(self._alpha_drift), self._first_empty)
+        return _envelope_audit(traj, params, tol, lambda: shares)
 
 
 def sync_detect(traj: Trajectory, tol_theta: float, tol_v: float) -> int | None:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uniswarm import (build_graph, connectivity, matrix_deviation, ring_sets,
-                      spectral_summary)
+from uniswarm import (GraphSweep, SpectralError, build_graph, connectivity, graphs,
+                      matrix_deviation, ring_sets, spectral_summary)
 from uniswarm.graphs import (averaging_matrix, normalized_laplacian, pairwise_distances,
                              spectral_summary_record, write_edge_list_csv)
 
@@ -233,3 +233,91 @@ def test_normalized_laplacian_matches_averaging_spectrum():
     lam = np.sort(np.linalg.eigvalsh(normalized_laplacian(g)))
     mu = np.sort(np.linalg.eigvals(averaging_matrix(g)).real)
     np.testing.assert_allclose(np.sort(1.0 - lam), mu, atol=1e-9)
+
+
+# --- the sparse spectral path (m > DENSE_EIG_LIMIT), forced at m = 300 ---------
+
+def _sparse_and_dense(g, monkeypatch):
+    dense = spectral_summary(g)
+    monkeypatch.setattr(graphs, "DENSE_EIG_LIMIT", 10)
+    sparse = spectral_summary(g)
+    monkeypatch.undo()
+    return sparse, dense
+
+
+@pytest.mark.parametrize("radius", [0.15, 0.2, 0.3])
+def test_sparse_spectral_path_matches_eigvalsh(radius, monkeypatch):
+    g = build_graph(np.random.default_rng(0).random((300, 2)), radius)
+    assert connectivity(g)
+    sparse, dense = _sparse_and_dense(g, monkeypatch)
+    assert len(sparse.eigenvalues) == 3
+    assert sparse.eigenvalues[1] == pytest.approx(dense.eigenvalues[1], abs=1e-12)
+    assert sparse.eigenvalues[-1] == pytest.approx(dense.eigenvalues[-1], abs=1e-12)
+    assert sparse.spectral_gap == pytest.approx(dense.spectral_gap, abs=1e-12)
+    assert sparse.is_connected and dense.is_connected
+
+
+def test_sparse_spectral_path_disconnected_graph(monkeypatch):
+    # the shift-invert at sigma=0 used to raise a bare "Factor is exactly singular"
+    g = build_graph(np.random.default_rng(0).random((300, 2)), 0.05)
+    assert not connectivity(g)
+    sparse, dense = _sparse_and_dense(g, monkeypatch)
+    assert not sparse.is_connected and not dense.is_connected
+    assert sparse.spectral_gap == 1.0
+    assert dense.spectral_gap == pytest.approx(1.0, abs=1e-12)
+    assert sparse.eigenvalues[-1] == pytest.approx(dense.eigenvalues[-1], abs=1e-12)
+
+
+def test_sparse_spectral_solver_failure_is_spectral_error(monkeypatch):
+    import scipy.sparse.linalg
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    g = build_graph(np.random.default_rng(0).random((300, 2)), 0.3)
+    monkeypatch.setattr(graphs, "DENSE_EIG_LIMIT", 10)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", singular)
+    with pytest.raises(SpectralError, match="exactly singular"):
+        spectral_summary(g)
+
+
+# --- GraphSweep --------------------------------------------------------------
+
+def test_graph_sweep_reuses_the_unchanged_graph():
+    pos = np.array([[0.0, 0.0], [0.2, 0.0], [0.5, 0.0]])
+    sweep = GraphSweep(0.3)
+    first = sweep.advance(pos)
+    assert np.array_equal(sweep.distances, pairwise_distances(pos))
+    assert sweep.advance(pos + 0.01) is first  # same neighbor sets
+    moved = pos.copy()
+    moved[2, 0] = 0.45  # 2 joins 1: B
+    second = sweep.advance(moved)
+    assert second is not first
+    assert np.array_equal(second.adjacency, build_graph(moved, 0.3).adjacency)
+    assert np.array_equal(second.degrees, build_graph(moved, 0.3).degrees)
+    third = sweep.advance(pos)  # back to A: a new object equal to the first
+    assert third is not second and third is not first
+    assert np.array_equal(third.adjacency, first.adjacency)
+
+
+@pytest.mark.parametrize("self_inclusive", [True, False])
+def test_graph_sweep_matches_build_graph(self_inclusive):
+    rng = np.random.default_rng(12)
+    pos = rng.random((25, 2))
+    sweep = GraphSweep(0.3, self_inclusive)
+    for _ in range(20):
+        pos = pos + rng.normal(scale=0.02, size=pos.shape)
+        got, want = sweep.advance(pos), build_graph(pos, 0.3, self_inclusive)
+        assert np.array_equal(got.adjacency, want.adjacency)
+        assert np.array_equal(got.degrees, want.degrees)
+        assert (got.radius, got.self_inclusive) == (want.radius, want.self_inclusive)
+
+
+def test_graph_sweep_input_validation():
+    with pytest.raises(ValueError, match="radius"):
+        GraphSweep(0.0)
+    sweep = GraphSweep(0.3)
+    with pytest.raises(ValueError, match="finite"):
+        sweep.advance(np.array([[0.0, np.inf], [0.1, 0.1]]))
+    with pytest.raises(ValueError, match="shape"):
+        sweep.advance(np.zeros((3, 3)))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from uniswarm import (ConfigError, ModelParams, Obstacle, ReferenceSchedule, RunConfig,
-                      campaign, load_trajectory, run, scenario_fig3)
+                      build_graph, campaign, load_trajectory, run, scenario_fig3)
 from uniswarm.dynamics import LEADER_CONSTANT, LEADER_DYNAMIC
+from uniswarm.harness import write_trajectory_csv
 
 
 def _leaderless_config(steps=20, seed=0, **kw):
@@ -223,3 +224,49 @@ def test_run_records_obstacle_diagnostic(tmp_path):
     cfg.obstacle = Obstacle(center=(0.5, 0.5), semi_axes=(10.0, 10.0))
     result = run(cfg)
     assert result.meta["obstacle"]["hit_fraction"] == 1.0
+
+
+def test_run_meta_records_run_health(tmp_path):
+    # fig3 seed 6 starts connected and loses connectivity at step 125
+    cfg = scenario_fig3(seed=6, steps=200)
+    cfg.audit_level = "off"
+    result = run(cfg, out_dir=tmp_path)
+    traj = result.trajectory
+    meta = json.loads((tmp_path / "run_meta.json").read_text())
+    assert meta["first_disconnected_step"] == 125
+    assert traj.connected[:125].all() and not traj.connected[125]
+    assert meta["connected_fraction"] == float(traj.connected.mean()) < 1.0
+    adjacency = [build_graph(x, cfg.params.r_n).adjacency for x in traj.positions]
+    changes = sum(not np.array_equal(a, b) for a, b in zip(adjacency[1:], adjacency[:-1]))
+    assert meta["graph_changes"] == changes > 0
+    assert [m.connected for m in result.metrics] == traj.connected.tolist()
+
+
+def test_run_meta_health_of_a_connected_run(tmp_path):
+    params = ModelParams(n=10, r_n=2.0, v_n=0.05, tau_n=0.01)
+    run(RunConfig(params=params, steps=20, seed=0), out_dir=tmp_path)
+    meta = json.loads((tmp_path / "run_meta.json").read_text())
+    assert meta["first_disconnected_step"] is None
+    assert (meta["connected_fraction"], meta["graph_changes"]) == (1.0, 0)
+
+
+def _oracle_trajectory_csv(traj, path):
+    """write_trajectory_csv with numpy scalar indexing, one write per row."""
+    roles = ["leader" if x else "follower" for x in traj.leader_mask]
+    with open(path, "w", newline="") as fh:
+        fh.write("k,t,agent,role,x,y,theta,v\n")
+        for k in range(traj.n_steps + 1):
+            t = traj.times[k]
+            for i in range(len(roles)):
+                fh.write(f"{k},{t:.17g},{i},{roles[i]},{traj.positions[k, i, 0]:.17g},"
+                         f"{traj.positions[k, i, 1]:.17g},{traj.headings[k, i]:.17g},"
+                         f"{traj.speeds[k, i]:.17g}\n")
+
+
+def test_write_trajectory_csv_matches_per_element_oracle(tmp_path):
+    params = ModelParams(n=9, alpha_n=0.3, r_n=0.4, v_n=0.2, tau_n=0.01)
+    traj = run(RunConfig(params=params, steps=30, seed=8, mode=LEADER_CONSTANT,
+                         reference_heading=-0.4)).trajectory
+    write_trajectory_csv(traj, tmp_path / "got.csv")
+    _oracle_trajectory_csv(traj, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from uniswarm import (ModelParams, build_graph, geometric_envelope_audit, metrics_baseline,
-                      recursion_audit, ring_containment_check, run_epoch, sample_initial,
-                      step_metrics, sync_detect)
-from uniswarm.dynamics import LEADER_CONSTANT, SwarmState
-from uniswarm.graphs import averaging_matrix, matrix_deviation, pairwise_distances
-from uniswarm.metrics import (_AUDIT_BLOCK, FAIL, PASS, REPORT, SKIP, _envelope_integral,
-                              write_metrics_csv)
+from uniswarm import (ModelParams, ReferenceSchedule, RunConfig, RunPass, build_graph,
+                      connectivity, geometric_envelope_audit, metrics_baseline, recursion_audit,
+                      ring_containment_check, run, run_epoch, sample_initial, step_metrics,
+                      sync_detect)
+from uniswarm.dynamics import LEADER_CONSTANT, LEADER_DYNAMIC, LEADERLESS, SwarmState
+from uniswarm.graphs import (averaging_matrix, averaging_rows, graph_from_distances,
+                             leader_fractions, matrix_deviation, pairwise_distances)
+from uniswarm.metrics import (_AUDIT_BLOCK, FAIL, PASS, REPORT, SKIP, EnvelopeAuditReport,
+                              StepMetrics, _envelope_integral, write_metrics_csv)
 
 from conftest import make_state
 
@@ -376,3 +378,182 @@ def test_write_metrics_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("k,delta_theta,delta_v")
     assert len(lines) == 2
+
+
+# --- run()'s fused pass against the per-instant oracle ------------------------
+
+def _oracle_step_metrics(state, baseline, reference_heading=float("nan"),
+                         reference_speed=float("nan")):
+    """step_metrics as run() called it once per instant before the pass was
+    fused into the simulation: one distance matrix and graph per call."""
+    headings, speeds = state.headings, state.speeds
+    delta_theta = float(headings.max() - headings.min())
+    delta_v = float(speeds.max() - speeds.min())
+    tracking_theta = float(np.abs(headings - reference_heading).max()) \
+        if np.isfinite(reference_heading) else float("nan")
+    tracking_v = float(np.abs(speeds - reference_speed).max()) \
+        if np.isfinite(reference_speed) else float("nan")
+    distances = pairwise_distances(state.positions)
+    initial_graph = baseline.graph
+    graph = graph_from_distances(distances, initial_graph.radius, initial_graph.self_inclusive)
+    distances -= baseline.distances
+    drift = float(np.abs(distances, out=distances).max())
+    changed = np.where((graph.adjacency != initial_graph.adjacency).any(axis=1))[0]
+    p_dev = 0.0
+    if len(changed):
+        p_dev = float(np.linalg.norm(averaging_rows(graph, changed)
+                                     - baseline.averaging[changed], 2))
+    alpha_drift = 0.0
+    if state.leader_mask.any():
+        alphas, _ = leader_fractions(graph, state.leader_mask)
+        alpha_drift = float(np.abs(alphas - baseline.alphas).max())
+    return StepMetrics(k=state.sample_index, delta_theta=delta_theta, delta_v=delta_v,
+                       tracking_theta=tracking_theta, tracking_v=tracking_v,
+                       max_distance_drift=drift, p_deviation=p_dev,
+                       alpha_drift=alpha_drift, connected=connectivity(graph))
+
+
+def _oracle_metrics(traj):
+    """The per-instant loop run() made over step_metrics."""
+    baseline = metrics_baseline(traj.state_at(0), traj.params)
+    rows = []
+    for k in range(traj.n_steps + 1):
+        if traj.controller == LEADERLESS:
+            ref_theta, ref_v = float("nan"), float("nan")
+        else:
+            idx = min(max(k - 1, 0), traj.n_steps - 1)
+            ref_theta = float(traj.reference_headings[idx])
+            ref_v = traj.reference_speed
+        rows.append(_oracle_step_metrics(traj.state_at(k), baseline, ref_theta, ref_v))
+    return rows
+
+
+def _oracle_envelope_audit(traj, tol=1e-9):
+    """geometric_envelope_audit with one build_graph per instant."""
+    params = traj.params
+    if not traj.leader_mask.any():
+        return geometric_envelope_audit(traj)  # REPORT: no graphs involved
+    refs = traj.reference_headings
+    if not np.all(np.isfinite(refs)) or not np.all(refs == refs[0]):
+        return EnvelopeAuditReport(verdict=SKIP, reason="reference heading is not constant")
+    theta_bar, v_bar, vartheta = float(refs[0]), traj.reference_speed, params.vartheta
+    followers, leaders = ~traj.leader_mask, traj.leader_mask
+    theta_dev = np.abs(traj.headings - theta_bar)
+    v_dev = np.abs(traj.speeds - v_bar)
+    big_a = float(theta_dev[1, followers].max())
+    big_b = float(v_dev[1, followers].max())
+    if theta_dev[1, leaders].max() > (1.0 - vartheta) * big_a + tol:
+        return EnvelopeAuditReport(verdict=SKIP,
+                                   reason="leader initial heading deviation exceeds (1-vartheta)A")
+    if v_dev[1, leaders].max() > (1.0 - vartheta) * big_b + tol:
+        return EnvelopeAuditReport(verdict=SKIP,
+                                   reason="leader initial speed deviation exceeds (1-vartheta)B")
+    alphas = np.empty((traj.n_steps + 1, traj.headings.shape[1]))
+    for k in range(traj.n_steps + 1):
+        graph = build_graph(traj.positions[k], params.r_n, params.self_inclusive)
+        alphas[k], totals = leader_fractions(graph, traj.leader_mask)
+        if (totals == 0).any():
+            return EnvelopeAuditReport(
+                verdict=SKIP, reason=f"agent with empty neighborhood at step {k}")
+    mu = float(np.abs(alphas - alphas[0]).max())
+    gamma = float((1.0 - (alphas[0] - mu) * vartheta).max())
+    violations, worst, power = 0, 0.0, 1.0
+    for k in range(1, traj.n_steps + 1):
+        for dev, amp in ((theta_dev, big_a), (v_dev, big_b)):
+            excess = max(dev[k, followers].max() - power * amp,
+                         dev[k, leaders].max() - (1.0 - vartheta) * power * amp)
+            if excess > tol:
+                violations += 1
+                worst = max(worst, float(excess))
+        power *= gamma
+    return EnvelopeAuditReport(verdict=FAIL if violations else PASS, violations=violations,
+                               details={"A": big_a, "B": big_b, "mu": mu, "gamma": gamma,
+                                        "worst_excess": worst})
+
+
+def _assert_fused_matches_oracle(traj, rows, recursion, envelope):
+    # repr is exact for floats, tells 0.0 from -0.0 and matches nan with nan
+    assert [repr(r) for r in rows] == [repr(r) for r in _oracle_metrics(traj)]
+    verdicts, slacks, fails, max_violation = _oracle_recursion_audit(traj)
+    assert recursion.verdicts == verdicts
+    assert np.array_equal(recursion.slacks, slacks)
+    assert (recursion.fail_count, recursion.max_violation) == (fails, max_violation)
+    want = _oracle_envelope_audit(traj).to_dict()
+    assert envelope.to_dict() == want
+    assert geometric_envelope_audit(traj).to_dict() == want
+    return want
+
+
+def _run(params, steps, seed, mode=LEADERLESS, **kw):
+    result = run(RunConfig(params=params, steps=steps, seed=seed, mode=mode, **kw))
+    _assert_fused_matches_oracle(result.trajectory, result.metrics, result.recursion,
+                                 result.envelope)
+    return result
+
+
+@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_CONSTANT, LEADER_DYNAMIC])
+@pytest.mark.parametrize("seed", range(4))
+def test_run_pass_matches_per_instant_oracle(mode, seed):
+    rng = np.random.default_rng(100 + seed)
+    params = ModelParams(n=int(rng.integers(3, 30)), r_n=float(rng.uniform(0.15, 0.6)),
+                         v_n=float(rng.uniform(0.1, 1.0)), tau_n=float(rng.uniform(0.02, 0.05)),
+                         alpha_n=0.0 if mode == LEADERLESS else float(rng.uniform(0.1, 0.5)),
+                         vartheta=float(rng.uniform(0.2, 0.9)), self_inclusive=bool(seed % 2))
+    schedule = (ReferenceSchedule(headings=rng.uniform(-np.pi, np.pi, 3).tolist(), epsilon=0.5)
+                if mode == LEADER_DYNAMIC else None)
+    _run(params, int(rng.integers(20, 150)), seed, mode, schedule=schedule,
+         reference_heading=float(rng.uniform(-1.0, 1.0)))
+
+
+def test_run_pass_envelope_pass_matches_oracle():
+    p = ModelParams(n=20, r_n=2.0, v_n=0.1, tau_n=0.01, alpha_n=0.5, vartheta=0.5)
+    result = _run(p, 60, 7, LEADER_CONSTANT, reference_heading=0.3)
+    assert result.envelope.verdict == PASS
+
+
+def test_run_pass_agent_becomes_isolated_without_self_loop():
+    p = ModelParams(n=20, r_n=0.25, v_n=1.0, tau_n=0.05, self_inclusive=False)
+    traj = _run(p, 30, 2).trajectory
+    isolated = [k for k in range(traj.n_steps + 1)
+                if (build_graph(traj.positions[k], p.r_n, False).degrees == 0).any()]
+    assert isolated[0] == 3
+
+
+def test_run_pass_graph_returning_to_an_earlier_adjacency():
+    p = ModelParams(n=12, r_n=0.25, v_n=0.5, tau_n=0.05)
+    traj = _run(p, 30, 4).trajectory
+    adj = [build_graph(x, p.r_n).adjacency for x in traj.positions]
+    # A -> B -> A: the graph of step 20 differs from step 19's but equals an earlier one
+    assert not np.array_equal(adj[20], adj[19])
+    assert any(np.array_equal(adj[20], adj[j]) for j in range(19))
+
+
+def test_run_pass_envelope_skip_names_the_same_step():
+    p = ModelParams(n=10, alpha_n=0.3, r_n=0.25, v_n=0.3, tau_n=0.05, vartheta=0.9)
+    result = _run(p, 40, 62, LEADER_CONSTANT, reference_heading=0.3)
+    assert result.envelope.reason == "agent with empty neighborhood at step 2"
+
+
+@pytest.mark.parametrize("self_inclusive", [True, False])
+def test_run_pass_coincident_agents(self_inclusive):
+    p = ModelParams(n=12, alpha_n=0.25, r_n=0.3, v_n=0.2, tau_n=0.02,
+                    self_inclusive=self_inclusive)
+    state = sample_initial(p, 5)
+    state.positions[1] = state.positions[2] = state.positions[0]
+    instants = RunPass(metrics_baseline(state, p))
+    traj = run_epoch(state, p, 40, controller=LEADER_CONSTANT, reference_heading=0.2,
+                     observer=instants.observe)
+    _assert_fused_matches_oracle(traj, instants.step_metrics(traj),
+                                 instants.recursion_audit(traj),
+                                 instants.geometric_envelope_audit(traj, p))
+
+
+def test_run_pass_counts_graph_changes():
+    p = ModelParams(n=12, r_n=0.25, v_n=0.5, tau_n=0.05)
+    state = sample_initial(p, 4)
+    instants = RunPass(metrics_baseline(state, p))
+    traj = run_epoch(state, p, 30, observer=instants.observe)
+    adj = [build_graph(x, p.r_n).adjacency for x in traj.positions]
+    changes = sum(not np.array_equal(a, b) for a, b in zip(adj[1:], adj[:-1]))
+    assert 0 < changes < traj.n_steps
+    assert instants.graph_changes == changes
