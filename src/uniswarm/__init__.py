@@ -4,7 +4,7 @@ control of unicycle swarms on proximity networks."""
 from .conditions import (ConditionReport, InitialDiagnostics, LeaderDegreeReport,
                          check_corollary1, check_theorem1, check_theorem2, check_theorem3,
                          initial_diagnostics, leader_degree_estimates)
-from .control import ControlSignal, follower_control, leader_control
+from .control import ControlSignal, follower_control, leader_control, trajectory_controls
 from .dynamics import (LEADER_CONSTANT, LEADER_DYNAMIC, LEADERLESS, AgentState,
                        ConvexityError, ModelParams, SwarmState, Trajectory,
                        advance_positions, closed_form_displacement, interpolate,

@@ -55,13 +55,19 @@ def leader_control(agent: int, state: SwarmState, graph: ProximityGraph, tau: fl
     return ControlSignal(omega=omega, u=u)
 
 
+def trajectory_controls(trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """The zero-order-hold controls of each dwell interval, (K, m) each:
+    omega = (theta(t_{k+1}) - theta(t_k)) / tau and u = (v(t_{k+1}) - v(t_k)) / tau."""
+    tau = trajectory.params.tau_n
+    return (np.diff(trajectory.headings, axis=0) / tau,
+            np.diff(trajectory.speeds, axis=0) / tau)
+
+
 def write_controls_csv(trajectory, path) -> None:
-    """Per-step control export ``k,agent,omega,u`` (requires record_controls)."""
-    if trajectory.controls_omega is None:
-        raise ValueError("trajectory was recorded without control signals")
+    """Per-step control export ``k,agent,omega,u`` (see :func:`trajectory_controls`)."""
+    omegas, accels = trajectory_controls(trajectory)
     with open(path, "w", newline="") as fh:
         fh.write("k,agent,omega,u\n")
-        for k in range(trajectory.n_steps):
-            for i in range(trajectory.controls_omega.shape[1]):
-                fh.write(f"{k},{i},{trajectory.controls_omega[k, i]:.17g},"
-                         f"{trajectory.controls_u[k, i]:.17g}\n")
+        for k, (omega, u) in enumerate(zip(omegas.tolist(), accels.tolist())):
+            fh.write("".join(f"{k},{i},{w:.17g},{a:.17g}\n"
+                             for i, (w, a) in enumerate(zip(omega, u))))

@@ -14,7 +14,7 @@ flagged by a diagnostic rather than clamped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -154,12 +154,36 @@ def sample_initial(params: ModelParams, seed: int) -> SwarmState:
                       leader_mask=leader_mask, sample_index=0)
 
 
-def _neighbor_average(values: np.ndarray, graph: ProximityGraph) -> np.ndarray:
+def _neighbor_average(values: np.ndarray, graph: ProximityGraph,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """The neighbor mean of ``values`` per agent, written to ``out`` when given."""
     degrees = graph.degrees
+    out = np.matmul(graph.float_adjacency, values, out=out)
+    out /= np.maximum(degrees, 1)
     # isolated agents (possible only with self_inclusive=False) hold state
-    safe = np.maximum(degrees, 1)
-    avg = (graph.adjacency @ values) / safe
-    return np.where(degrees > 0, avg, values)
+    np.copyto(out, values, where=degrees == 0)
+    return out
+
+
+def _discrete_step(graph: ProximityGraph, headings: np.ndarray, speeds: np.ndarray,
+                   new_headings: np.ndarray | None = None, new_speeds: np.ndarray | None = None,
+                   pull: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One step of the averaging map on ``graph``, written to ``new_headings``
+    and ``new_speeds`` when given.  ``pull``, for leader runs, is
+    (leader_mask, reference_heading, reference_speed, vartheta): leaders mix
+    the reference with their neighbor mean via weight vartheta."""
+    new_headings = _neighbor_average(headings, graph, new_headings)
+    new_speeds = _neighbor_average(speeds, graph, new_speeds)
+    if pull is not None:
+        mask, reference_heading, reference_speed, vartheta = pull
+        new_headings[mask] = vartheta * reference_heading + (1.0 - vartheta) * new_headings[mask]
+        new_speeds[mask] = vartheta * reference_speed + (1.0 - vartheta) * new_speeds[mask]
+    return new_headings, new_speeds
+
+
+def _require_leaders(leader_mask: np.ndarray) -> None:
+    if not leader_mask.any():
+        raise ValueError("a leader controller requires at least one leader")
 
 
 def leaderless_discrete_step(state: SwarmState, graph: ProximityGraph) -> SwarmState:
@@ -167,24 +191,19 @@ def leaderless_discrete_step(state: SwarmState, graph: ProximityGraph) -> SwarmS
 
     Positions are not advanced here; see :func:`advance_positions`.
     """
-    return SwarmState(positions=state.positions,
-                      headings=_neighbor_average(state.headings, graph),
-                      speeds=_neighbor_average(state.speeds, graph),
-                      leader_mask=state.leader_mask,
-                      sample_index=state.sample_index + 1)
+    headings, speeds = _discrete_step(graph, state.headings, state.speeds)
+    return SwarmState(positions=state.positions, headings=headings, speeds=speeds,
+                      leader_mask=state.leader_mask, sample_index=state.sample_index + 1)
 
 
 def leader_discrete_step(state: SwarmState, graph: ProximityGraph, reference_heading: float,
                          reference_speed: float, vartheta: float) -> SwarmState:
     """Followers average neighbors; leaders mix the reference with the
     neighbor average via weight vartheta."""
-    if not state.leader_mask.any():
-        raise ValueError("leader_discrete_step requires at least one leader")
-    headings = _neighbor_average(state.headings, graph)
-    speeds = _neighbor_average(state.speeds, graph)
     mask = state.leader_mask
-    headings[mask] = vartheta * reference_heading + (1.0 - vartheta) * headings[mask]
-    speeds[mask] = vartheta * reference_speed + (1.0 - vartheta) * speeds[mask]
+    _require_leaders(mask)
+    headings, speeds = _discrete_step(graph, state.headings, state.speeds,
+                                      pull=(mask, reference_heading, reference_speed, vartheta))
     return SwarmState(positions=state.positions, headings=headings, speeds=speeds,
                       leader_mask=mask, sample_index=state.sample_index + 1)
 
@@ -246,14 +265,27 @@ def closed_form_displacement(a, b, c, d, tau):
     return a * tau * i0 + b * tau2 * i1, a * tau * j0 + b * tau2 * j1
 
 
+def _integrate_positions(positions: np.ndarray, headings: np.ndarray, speeds: np.ndarray,
+                        tau: float) -> None:
+    """Fills rows 1..B of the (B+1, m, 2) ``positions`` from row 0 and the
+    (B+1, m) headings and speeds of the same instants: one closed-form
+    integral per agent and interval, then a running sum that adds the
+    displacements one interval after the other."""
+    a = speeds[:-1]
+    b = (speeds[1:] - speeds[:-1]) / tau
+    c = headings[:-1]
+    d = (headings[1:] - headings[:-1]) / tau
+    positions[1:, :, 0], positions[1:, :, 1] = closed_form_displacement(a, b, c, d, tau)
+    np.cumsum(positions, axis=0, out=positions)
+
+
 def advance_positions(state_k: SwarmState, state_k1: SwarmState, tau: float) -> np.ndarray:
     """Positions at t_{k+1} from the closed-form kinematic integral."""
-    a = state_k.speeds
-    b = (state_k1.speeds - state_k.speeds) / tau
-    c = state_k.headings
-    d = (state_k1.headings - state_k.headings) / tau
-    dx, dy = closed_form_displacement(a, b, c, d, tau)
-    return state_k.positions + np.stack([dx, dy], axis=1)
+    positions = np.empty((2, *state_k.positions.shape))
+    positions[0] = state_k.positions
+    _integrate_positions(positions, np.stack([state_k.headings, state_k1.headings]),
+                         np.stack([state_k.speeds, state_k1.speeds]), tau)
+    return positions[1]
 
 
 def integrate_position_oracle(a: float, b: float, c: float, d: float, tau: float,
@@ -279,6 +311,13 @@ CONTROLLERS = (LEADERLESS, LEADER_CONSTANT, LEADER_DYNAMIC)
 _CONVEXITY_TOL = 1e-12
 _INTEGRATION_TOL = 1e-9
 
+# Block stepping (see run_epoch): the first block steps this many instants
+# ahead of the graph sweep.  A block in which the graph did not change
+# doubles the next one, up to the cap, which keeps the (B, m) integration
+# temporaries a few MB; a block in which it changed halves the next one.
+_BLOCK_START = 8
+_BLOCK_MAX = 256
+
 
 class ConvexityError(RuntimeError):
     """Leaderless max/min monotonicity violated; indicates a bug."""
@@ -300,8 +339,6 @@ class Trajectory:
     connected: np.ndarray  # (K+1,) connectivity of the graph at each instant
     switch_log: list = field(default_factory=list)
     left_unit_square: bool = False
-    controls_omega: np.ndarray | None = None  # (K, m) when recorded
-    controls_u: np.ndarray | None = None
 
     @property
     def n_steps(self) -> int:
@@ -313,26 +350,47 @@ class Trajectory:
                           sample_index=k)
 
 
-def _check_convexity(old: np.ndarray, new: np.ndarray, label: str) -> None:
-    if new.max() > old.max() + _CONVEXITY_TOL or new.min() < old.min() - _CONVEXITY_TOL:
-        raise ConvexityError(f"{label} envelope expanded during a leaderless step")
+def _first_expansion(headings: np.ndarray, speeds: np.ndarray) -> tuple[int, str] | None:
+    """The first step of a (B+1, m) block of instants after which the heading
+    or the speed envelope is wider, and which of the two; None if there is none."""
+    def expanded(values):
+        top, bottom = values.max(axis=1), values.min(axis=1)
+        return (top[1:] > top[:-1] + _CONVEXITY_TOL) | (bottom[1:] < bottom[:-1] - _CONVEXITY_TOL)
+
+    heading, speed = expanded(headings), expanded(speeds)
+    steps = np.flatnonzero(heading | speed)
+    if not len(steps):
+        return None
+    step = int(steps[0])
+    return step, "heading" if heading[step] else "speed"
 
 
 def run_epoch(state: SwarmState, params: ModelParams, steps: int,
               controller: str = LEADERLESS, schedule=None, reference_heading: float = 0.0,
-              record_controls: bool = False, integration_check: str = "sampled",
-              observer=None) -> Trajectory:
+              integration_check: str = "sampled", observer=None) -> Trajectory:
     """Run the hybrid loop: neighbor graph, discrete step, exact position advance.
 
     Graphs change at sampling instants only; neighbor relations are frozen
-    within dwell intervals.  One :class:`GraphSweep` gives each instant's
-    graph, and connectivity is searched only when the graph changed.
-    ``integration_check`` is one of off/sampled/full and validates the
-    closed-form position update against the quadrature oracle (one agent
-    per checked step).  ``observer``, when given, is called at every
-    instant k = 0..steps with the instant's graph and pairwise distance
-    matrix; the loop does not read that matrix again, so the observer may
-    overwrite it.
+    within dwell intervals, and most instants do not change them.  So the
+    loop steps in blocks: it applies the discrete map on the current graph
+    to a block of instants ahead, integrates the block's positions with one
+    closed-form call and a running sum, and then advances one
+    :class:`GraphSweep` through the block's instants in order.  At the first
+    instant whose graph differs, it keeps that instant, whose state the
+    previous graph determines, discards the rest of the block and continues
+    from there.  The numbers are those of a loop that steps one instant at a
+    time.  Connectivity is searched only when the graph changed.
+
+    In ``leader_dynamic`` runs the schedule is consulted at each stepped
+    instant, and a block ends at the step after a switch; a switch at an
+    instant after the graph changed is undone and consulted again.  The
+    convexity check (leaderless runs) and the integration oracle cover the
+    kept steps only.  ``integration_check`` is one of off/sampled/full and
+    validates the closed-form position update against the quadrature oracle
+    (one agent per checked step).  ``observer``, when given, is called at
+    every instant k = 0..steps, in order and once each, with the instant's
+    graph and pairwise distance matrix; the loop does not read that matrix
+    again, so the observer may overwrite it.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -345,79 +403,99 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
 
     m = state.n_agents
     tau = params.tau_n
+    mask = state.leader_mask.copy()
+    if controller != LEADERLESS:
+        _require_leaders(mask)
     positions = np.empty((steps + 1, m, 2))
     headings = np.empty((steps + 1, m))
     speeds = np.empty((steps + 1, m))
-    references = np.full(steps, np.nan)
+    references = np.full(steps, reference_heading if controller == LEADER_CONSTANT else np.nan)
     connected = np.empty(steps + 1, dtype=bool)
-    omegas = np.empty((steps, m)) if record_controls else None
-    accels = np.empty((steps, m)) if record_controls else None
-
-    current = state.copy()
-    positions[0] = current.positions
-    headings[0] = current.headings
-    speeds[0] = current.speeds
-    left_square = bool((current.positions < 0).any() or (current.positions > 1).any())
+    positions[0] = state.positions
+    headings[0] = state.headings
+    speeds[0] = state.speeds
+    # the schedule reads headings only; positions come after a block's steps
+    unknown_positions = np.full((m, 2), np.nan)
 
     sweep = GraphSweep(params.r_n, params.self_inclusive)
-    graph = None
-    for k in range(steps + 1):
-        previous, graph = graph, sweep.advance(current.positions)
-        if graph is not previous:
-            is_connected = connectivity(graph)
-        connected[k] = is_connected
-        if observer is not None:
-            observer(graph, sweep.distances)
-        if k == steps:
-            break
+    graph = sweep.advance(positions[0])
+    connected[0] = is_connected = connectivity(graph)
+    if observer is not None:
+        observer(graph, sweep.distances)
 
-        if controller == LEADERLESS:
-            nxt = leaderless_discrete_step(current, graph)
-            _check_convexity(current.headings, nxt.headings, "heading")
-            _check_convexity(current.speeds, nxt.speeds, "speed")
-        else:
+    k, block = 0, _BLOCK_START
+    consulted = 0  # the schedule has been consulted at the kept instants before this one
+    while k < steps:
+        # step instants k+1..stop on the graph of instant k
+        stop = min(k + block, steps)
+        switch = None  # (instant, schedule fields before the switch)
+        pull = None
+        for s in range(k, stop):
             if controller == LEADER_DYNAMIC:
-                schedule.maybe_advance(current)
-                theta_bar = schedule.current_heading
-            else:
-                theta_bar = reference_heading
-            references[k] = theta_bar
-            nxt = leader_discrete_step(current, graph, theta_bar, params.v_n, params.vartheta)
+                if s >= consulted:
+                    before = (schedule.current_segment, schedule.last_switch_index,
+                              len(schedule.switch_log))
+                    consulted = s + 1
+                    if schedule.maybe_advance(SwarmState(
+                            unknown_positions, headings[s], speeds[s], mask,
+                            state.sample_index + s)):
+                        switch = (s, before)
+                references[s] = schedule.current_heading
+            if controller != LEADERLESS:
+                pull = (mask, references[s], params.v_n, params.vartheta)
+            _discrete_step(graph, headings[s], speeds[s], headings[s + 1], speeds[s + 1], pull)
+            if switch is not None:
+                stop = s + 1
+                break
+        expansion = (_first_expansion(headings[k:stop + 1], speeds[k:stop + 1])
+                     if controller == LEADERLESS else None)
+        if expansion is not None:
+            stop = k + expansion[0]  # sweep up to the instant the step leaves
+        _integrate_positions(positions[k:stop + 1], headings[k:stop + 1], speeds[k:stop + 1], tau)
 
-        new_positions = advance_positions(current, nxt, tau)
-
-        if integration_check == "full" or (integration_check == "sampled" and k % 100 == 0):
-            _verify_integration(current, nxt, new_positions, tau, agent=k % m)
-
-        if record_controls:
-            omegas[k] = (nxt.headings - current.headings) / tau
-            accels[k] = (nxt.speeds - current.speeds) / tau
-
-        current = replace(nxt, positions=new_positions)
-        positions[k + 1] = new_positions
-        headings[k + 1] = current.headings
-        speeds[k + 1] = current.speeds
-        left_square |= bool((new_positions < 0).any() or (new_positions > 1).any())
+        changed = False
+        kept = stop
+        for j in range(k + 1, stop + 1):
+            if sweep.advance(positions[j]) is not graph:
+                graph, changed, kept = sweep.graph, True, j
+                is_connected = connectivity(graph)
+            connected[j] = is_connected
+            if observer is not None:
+                observer(graph, sweep.distances)
+            if changed:
+                break
+        for s in range(k, kept):
+            if integration_check == "full" or (integration_check == "sampled" and s % 100 == 0):
+                _verify_integration(positions, headings, speeds, s, tau)
+        if expansion is not None and not changed:
+            raise ConvexityError(f"{expansion[1]} envelope expanded during a leaderless step")
+        if switch is not None and switch[0] > kept:
+            # the switch read headings that the changed graph alters
+            schedule.current_segment, schedule.last_switch_index, logged = switch[1]
+            del schedule.switch_log[logged:]
+        consulted = min(consulted, kept + 1)
+        k = kept
+        block = max(block // 2, 1) if changed else min(2 * block, _BLOCK_MAX)
 
     return Trajectory(times=np.arange(steps + 1) * tau, positions=positions,
-                      headings=headings, speeds=speeds, leader_mask=state.leader_mask.copy(),
+                      headings=headings, speeds=speeds, leader_mask=mask,
                       params=params, controller=controller, reference_headings=references,
                       reference_speed=params.v_n if controller != LEADERLESS else float("nan"),
                       connected=connected,
                       switch_log=list(schedule.switch_log) if schedule is not None else [],
-                      left_unit_square=left_square,
-                      controls_omega=omegas, controls_u=accels)
+                      left_unit_square=bool((positions < 0).any() or (positions > 1).any()))
 
 
-def _verify_integration(state_k: SwarmState, state_k1: SwarmState, new_positions: np.ndarray,
-                        tau: float, agent: int) -> None:
-    i = agent
-    a = float(state_k.speeds[i])
-    b = float(state_k1.speeds[i] - state_k.speeds[i]) / tau
-    c = float(state_k.headings[i])
-    d = float(state_k1.headings[i] - state_k.headings[i]) / tau
+def _verify_integration(positions: np.ndarray, headings: np.ndarray, speeds: np.ndarray,
+                        k: int, tau: float) -> None:
+    """Step k of the trajectory arrays against the quadrature oracle, for agent k mod m."""
+    i = k % headings.shape[1]
+    a = float(speeds[k, i])
+    b = float(speeds[k + 1, i] - speeds[k, i]) / tau
+    c = float(headings[k, i])
+    d = float(headings[k + 1, i] - headings[k, i]) / tau
     ox, oy = integrate_position_oracle(a, b, c, d, tau)
-    got = new_positions[i] - state_k.positions[i]
+    got = positions[k + 1, i] - positions[k, i]
     if abs(got[0] - ox) > _INTEGRATION_TOL or abs(got[1] - oy) > _INTEGRATION_TOL:
         raise RuntimeError(
             f"closed-form position update deviates from quadrature oracle at agent {i}: "

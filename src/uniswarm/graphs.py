@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -35,6 +36,12 @@ class ProximityGraph:
     @property
     def node_count(self) -> int:
         return self.adjacency.shape[0]
+
+    @cached_property
+    def float_adjacency(self) -> np.ndarray:
+        """The adjacency as 0/1 floats, built on first use and kept with the
+        graph: a product with the bool matrix converts it on every call."""
+        return self.adjacency.astype(float)
 
 
 @dataclass(frozen=True)
@@ -185,7 +192,7 @@ def leader_fractions(graph: ProximityGraph,
     """
     mask = np.asarray(leader_mask, dtype=float)
     own = np.diagonal(graph.adjacency)
-    leaders = graph.adjacency @ mask - own * mask
+    leaders = graph.float_adjacency @ mask - own * mask
     totals = graph.degrees - own
     fractions = np.where(totals > 0, leaders / np.where(totals > 0, totals, 1), 0.0)
     return fractions, totals

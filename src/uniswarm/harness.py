@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -341,11 +341,8 @@ def campaign(base: RunConfig, seeds: list[int], out_dir: str | Path | None = Non
     verdicts = {"recursion_fail": 0, "envelope_pass": 0, "envelope_skip": 0,
                 "envelope_fail": 0, "envelope_report": 0}
     for seed in sorted(set(int(s) for s in seeds)):
-        cfg = RunConfig(params=base.params, steps=base.steps, seed=seed, mode=base.mode,
-                        schedule=base.schedule.copy() if base.schedule else None,
-                        reference_heading=base.reference_heading, outputs=None,
-                        audit_level=base.audit_level, substeps=base.substeps,
-                        obstacle=base.obstacle)
+        cfg = replace(base, seed=seed, outputs=None,
+                      schedule=base.schedule.copy() if base.schedule else None)
         try:
             result = run(cfg)
         except Exception as exc:  # recorded per run, campaign continues
@@ -360,7 +357,7 @@ def campaign(base: RunConfig, seeds: list[int], out_dir: str | Path | None = Non
             "final_tracking_theta": None if np.isnan(final.tracking_theta)
             else final.tracking_theta,
             "final_tracking_v": None if np.isnan(final.tracking_v) else final.tracking_v,
-            "connected_all": bool(all(m.connected for m in result.metrics)),
+            "connected_all": bool(result.trajectory.connected.all()),
             "switch_log": result.trajectory.switch_log,
         }
         if result.recursion is not None:

@@ -51,7 +51,9 @@ def metrics_baseline(initial: SwarmState, params: ModelParams) -> MetricsBaselin
     """Computes the k = 0 quantities once per run."""
     distances = pairwise_distances(initial.positions)
     graph = graph_from_distances(distances, params.r_n, params.self_inclusive)
-    alphas, _ = leader_fractions(graph, initial.leader_mask)
+    # without leaders every alpha_i is 0; the k = 0 graph then keeps no float adjacency
+    alphas = (leader_fractions(graph, initial.leader_mask)[0] if initial.leader_mask.any()
+              else np.zeros(graph.node_count))
     return MetricsBaseline(state=initial, graph=graph, distances=distances,
                            averaging=averaging_matrix(graph), alphas=alphas)
 
@@ -288,17 +290,19 @@ def _envelope_audit(traj: Trajectory, params: ModelParams, tol: float,
             verdict=SKIP, reason=f"agent with empty neighborhood at step {first_empty}")
     gamma = float((1.0 - (initial_alphas - mu) * vartheta).max())
 
+    # gamma^{k-1} for k = 1..K, multiplied up in order
+    power = np.cumprod(np.concatenate(([1.0], np.full(traj.n_steps - 1, gamma))))
     violations = 0
     worst = 0.0
-    power = 1.0  # gamma^{k-1}
-    for k in range(1, traj.n_steps + 1):
-        for dev, amp in ((theta_dev, big_a), (v_dev, big_b)):
-            excess = max(dev[k, followers].max() - power * amp,
-                         dev[k, leaders].max() - (1.0 - vartheta) * power * amp)
-            if excess > tol:
-                violations += 1
-                worst = max(worst, float(excess))
-        power *= gamma
+    for dev, amp in ((theta_dev, big_a), (v_dev, big_b)):
+        follower_excess = dev[1:, followers].max(axis=1) - power * amp
+        leader_excess = dev[1:, leaders].max(axis=1) - (1.0 - vartheta) * power * amp
+        # the larger of the two, the follower term on ties and nan, as max() takes it
+        excess = np.where(leader_excess > follower_excess, leader_excess, follower_excess)
+        over = excess[excess > tol]
+        violations += len(over)
+        if len(over):
+            worst = max(worst, float(over.max()))
     verdict = FAIL if violations else PASS
     return EnvelopeAuditReport(verdict=verdict, violations=violations,
                                details={"A": big_a, "B": big_b, "mu": mu, "gamma": gamma,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from uniswarm import (LEADER_DYNAMIC, LEADERLESS, ModelParams, advance_positions,
                       build_graph, closed_form_displacement, interpolate,
                       leader_discrete_step, leaderless_discrete_step, run_epoch,
-                      sample_initial)
+                      sample_initial, trajectory_controls)
 from uniswarm.dynamics import SwarmState, integrate_position_oracle
 
 from conftest import make_state
@@ -272,6 +272,9 @@ def test_run_epoch_leaderless_convexity_holds():
 
 def test_run_epoch_records_controls():
     p = ModelParams(n=5, r_n=0.5, v_n=0.1, tau_n=0.01)
-    traj = run_epoch(sample_initial(p, 12), p, 3, record_controls=True)
+    traj = run_epoch(sample_initial(p, 12), p, 3)
+    omegas, accels = trajectory_controls(traj)
+    assert omegas.shape == accels.shape == (3, 5)
     np.testing.assert_allclose(traj.headings[1] - traj.headings[0],
-                               traj.controls_omega[0] * p.tau_n, atol=1e-15)
+                               omegas[0] * p.tau_n, atol=1e-15)
+    np.testing.assert_allclose(traj.speeds[3] - traj.speeds[2], accels[2] * p.tau_n, atol=1e-15)

@@ -511,6 +511,20 @@ def test_run_pass_envelope_pass_matches_oracle():
     assert result.envelope.verdict == PASS
 
 
+def test_envelope_audit_fail_matches_per_step_oracle():
+    p = ModelParams(n=20, r_n=2.0, v_n=0.1, tau_n=0.01, alpha_n=0.5, vartheta=0.5)
+    traj = run(RunConfig(params=p, steps=60, seed=7, mode=LEADER_CONSTANT,
+                         reference_heading=0.3)).trajectory
+    # follower and leader deviations beyond the envelope, headings and speeds
+    traj.headings[[5, 17, 40], 0] += 0.5
+    traj.headings[[9, 41], -1] -= 0.25
+    traj.speeds[[30, 59], 3] += 1.0
+    traj.speeds[12, -2] += 0.75
+    report = geometric_envelope_audit(traj)
+    assert report.verdict == FAIL and report.violations >= 5
+    assert report.to_dict() == _oracle_envelope_audit(traj).to_dict()
+
+
 def test_run_pass_agent_becomes_isolated_without_self_loop():
     p = ModelParams(n=20, r_n=0.25, v_n=1.0, tau_n=0.05, self_inclusive=False)
     traj = _run(p, 30, 2).trajectory
