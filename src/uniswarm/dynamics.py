@@ -424,7 +424,6 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
         observer(graph, sweep.distances)
 
     k, block = 0, _BLOCK_START
-    consulted = 0  # the schedule has been consulted at the kept instants before this one
     while k < steps:
         # step instants k+1..stop on the graph of instant k
         stop = min(k + block, steps)
@@ -432,14 +431,13 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
         pull = None
         for s in range(k, stop):
             if controller == LEADER_DYNAMIC:
-                if s >= consulted:
-                    before = (schedule.current_segment, schedule.last_switch_index,
-                              len(schedule.switch_log))
-                    consulted = s + 1
-                    if schedule.maybe_advance(SwarmState(
-                            unknown_positions, headings[s], speeds[s], mask,
-                            state.sample_index + s)):
-                        switch = (s, before)
+                # consulting again at a kept instant changes nothing: at most
+                # one switch per instant, and its headings are the same
+                before = (schedule.current_segment, schedule.last_switch_index,
+                          len(schedule.switch_log))
+                if schedule.maybe_advance(SwarmState(unknown_positions, headings[s], speeds[s],
+                                                     mask, state.sample_index + s)):
+                    switch = (s, before)
                 references[s] = schedule.current_heading
             if controller != LEADERLESS:
                 pull = (mask, references[s], params.v_n, params.vartheta)
@@ -473,7 +471,6 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
             # the switch read headings that the changed graph alters
             schedule.current_segment, schedule.last_switch_index, logged = switch[1]
             del schedule.switch_log[logged:]
-        consulted = min(consulted, kept + 1)
         k = kept
         block = max(block // 2, 1) if changed else min(2 * block, _BLOCK_MAX)
 
