@@ -25,16 +25,6 @@ STRICT_C_MAX = 1.0 / (144.0 * 320.0)
 STRICT_C_PRIME_MAX = 1.0 / 144.0
 
 
-@dataclass(frozen=True)
-class AgentState:
-    """Position, heading, speed of one robot at a sampling instant."""
-
-    x: float
-    y: float
-    heading: float
-    speed: float
-
-
 @dataclass
 class ModelParams:
     """All model parameters.
@@ -109,18 +99,6 @@ class SwarmState:
     @property
     def n_agents(self) -> int:
         return len(self.headings)
-
-    @property
-    def follower_indices(self) -> np.ndarray:
-        return np.where(~self.leader_mask)[0]
-
-    @property
-    def leader_indices(self) -> np.ndarray:
-        return np.where(self.leader_mask)[0]
-
-    def agent(self, i: int) -> AgentState:
-        return AgentState(x=float(self.positions[i, 0]), y=float(self.positions[i, 1]),
-                          heading=float(self.headings[i]), speed=float(self.speeds[i]))
 
     def copy(self) -> "SwarmState":
         return SwarmState(positions=self.positions.copy(), headings=self.headings.copy(),
@@ -312,9 +290,10 @@ _CONVEXITY_TOL = 1e-12
 _INTEGRATION_TOL = 1e-9
 
 # Block stepping (see run_epoch): the first block steps this many instants
-# ahead of the graph sweep.  A block in which the graph did not change
-# doubles the next one, up to the cap, which keeps the (B, m) integration
-# temporaries a few MB; a block in which it changed halves the next one.
+# ahead of the graph sweep.  A block that ran to its end doubles the next
+# one, up to the cap, which keeps the (B, m) integration temporaries a few
+# MB; a block that ended early, at a graph change or a schedule switch,
+# halves the next one.
 _BLOCK_START = 8
 _BLOCK_MAX = 256
 
@@ -372,20 +351,21 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
 
     Graphs change at sampling instants only; neighbor relations are frozen
     within dwell intervals, and most instants do not change them.  So the
-    loop steps in blocks: it applies the discrete map on the current graph
-    to a block of instants ahead, integrates the block's positions with one
-    closed-form call and a running sum, and then advances one
-    :class:`GraphSweep` through the block's instants in order.  At the first
-    instant whose graph differs, it keeps that instant, whose state the
-    previous graph determines, discards the rest of the block and continues
-    from there.  The numbers are those of a loop that steps one instant at a
-    time.  Connectivity is searched only when the graph changed.
+    loop steps in blocks: it applies the discrete map on the graph and the
+    reference heading of the block's first instant to a block of instants
+    ahead, integrates the block's positions with one closed-form call and a
+    running sum, and then commits the block's instants in order: it
+    advances one :class:`GraphSweep` and, in ``leader_dynamic`` runs,
+    consults the schedule once with the instant's state.  At the first
+    instant whose graph differs or at which the schedule switched, it keeps
+    that instant, whose state the previous graph and reference determine,
+    discards the rest of the block and continues from there.  So the
+    schedule sees each instant 0..steps-1 once, in order, and no switch is
+    ever undone.  The numbers are those of a loop that steps one instant at
+    a time.  Connectivity is searched only when the graph changed.
 
-    In ``leader_dynamic`` runs the schedule is consulted at each stepped
-    instant, and a block ends at the step after a switch; a switch at an
-    instant after the graph changed is undone and consulted again.  The
-    convexity check (leaderless runs) and the integration oracle cover the
-    kept steps only.  ``integration_check`` is one of off/sampled/full and
+    The convexity check (leaderless runs) and the integration oracle cover
+    the kept steps only.  ``integration_check`` is one of off/sampled/full and
     validates the closed-form position update against the quadrature oracle
     (one agent per checked step).  ``observer``, when given, is called at
     every instant k = 0..steps, in order and once each, with the instant's
@@ -414,65 +394,59 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
     positions[0] = state.positions
     headings[0] = state.headings
     speeds[0] = state.speeds
-    # the schedule reads headings only; positions come after a block's steps
-    unknown_positions = np.full((m, 2), np.nan)
+
+    def switched(j: int) -> bool:
+        """Consults the schedule at the committed instant j."""
+        return schedule.maybe_advance(SwarmState(positions[j], headings[j], speeds[j], mask,
+                                                 state.sample_index + j))
 
     sweep = GraphSweep(params.r_n, params.self_inclusive)
     graph = sweep.advance(positions[0])
     connected[0] = is_connected = connectivity(graph)
     if observer is not None:
         observer(graph, sweep.distances)
+    if controller == LEADER_DYNAMIC:
+        switched(0)
 
     k, block = 0, _BLOCK_START
     while k < steps:
-        # step instants k+1..stop on the graph of instant k
+        # step instants k+1..stop on the graph and the reference of instant k
         stop = min(k + block, steps)
-        switch = None  # (instant, schedule fields before the switch)
         pull = None
-        for s in range(k, stop):
+        if controller != LEADERLESS:
             if controller == LEADER_DYNAMIC:
-                # consulting again at a kept instant changes nothing: at most
-                # one switch per instant, and its headings are the same
-                before = (schedule.current_segment, schedule.last_switch_index,
-                          len(schedule.switch_log))
-                if schedule.maybe_advance(SwarmState(unknown_positions, headings[s], speeds[s],
-                                                     mask, state.sample_index + s)):
-                    switch = (s, before)
-                references[s] = schedule.current_heading
-            if controller != LEADERLESS:
-                pull = (mask, references[s], params.v_n, params.vartheta)
+                references[k:stop] = schedule.current_heading
+            pull = (mask, references[k], params.v_n, params.vartheta)
+        for s in range(k, stop):
             _discrete_step(graph, headings[s], speeds[s], headings[s + 1], speeds[s + 1], pull)
-            if switch is not None:
-                stop = s + 1
-                break
         expansion = (_first_expansion(headings[k:stop + 1], speeds[k:stop + 1])
                      if controller == LEADERLESS else None)
         if expansion is not None:
             stop = k + expansion[0]  # sweep up to the instant the step leaves
         _integrate_positions(positions[k:stop + 1], headings[k:stop + 1], speeds[k:stop + 1], tau)
 
-        changed = False
-        kept = stop
+        # commit instants in order, up to the first whose graph or reference differs
+        ended, kept = False, stop
         for j in range(k + 1, stop + 1):
             if sweep.advance(positions[j]) is not graph:
-                graph, changed, kept = sweep.graph, True, j
+                graph, ended = sweep.graph, True
                 is_connected = connectivity(graph)
             connected[j] = is_connected
             if observer is not None:
                 observer(graph, sweep.distances)
-            if changed:
+            if controller == LEADER_DYNAMIC and j < steps and switched(j):
+                ended = True
+            if ended:
+                kept = j
                 break
         for s in range(k, kept):
             if integration_check == "full" or (integration_check == "sampled" and s % 100 == 0):
                 _verify_integration(positions, headings, speeds, s, tau)
-        if expansion is not None and not changed:
+        # a leaderless block ends only where the graph changed
+        if expansion is not None and not ended:
             raise ConvexityError(f"{expansion[1]} envelope expanded during a leaderless step")
-        if switch is not None and switch[0] > kept:
-            # the switch read headings that the changed graph alters
-            schedule.current_segment, schedule.last_switch_index, logged = switch[1]
-            del schedule.switch_log[logged:]
         k = kept
-        block = max(block // 2, 1) if changed else min(2 * block, _BLOCK_MAX)
+        block = max(block // 2, 1) if ended else min(2 * block, _BLOCK_MAX)
 
     return Trajectory(times=np.arange(steps + 1) * tau, positions=positions,
                       headings=headings, speeds=speeds, leader_mask=mask,

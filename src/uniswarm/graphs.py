@@ -10,7 +10,6 @@ kept for sensitivity runs.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -263,15 +262,6 @@ def _extremal_eigenvalues(graph: ProximityGraph):
     return eigenvalues, eigenvalues[1], eigenvalues[2], connected
 
 
-def matrix_deviation(p_now: np.ndarray, p_initial: np.ndarray) -> float:
-    """Spectral norm ||P(t_k) - P(0)||."""
-    p_now = np.asarray(p_now, dtype=float)
-    p_initial = np.asarray(p_initial, dtype=float)
-    if p_now.shape != p_initial.shape:
-        raise ValueError(f"dimension mismatch: {p_now.shape} vs {p_initial.shape}")
-    return float(np.linalg.norm(p_now - p_initial, 2))
-
-
 STRICT_ETA_MAX = 1.0 / 512.0
 
 
@@ -305,25 +295,3 @@ def ring_sets(initial_positions: np.ndarray, radius: float, eta: float,
                            leaders=members[leader_mask[members]]))
     return out
 
-
-def write_edge_list_csv(graph: ProximityGraph, path) -> None:
-    """Edge list as ``i,j`` rows with i < j; self-edges omitted on export."""
-    ii, jj = np.where(np.triu(graph.adjacency, k=1))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            writer.writerow([i, j])
-
-
-def spectral_summary_record(graph: ProximityGraph, summary: SpectralSummary | None = None) -> dict:
-    if summary is None:
-        summary = spectral_summary(graph)
-    eigs = summary.eigenvalues
-    return {
-        "n": graph.node_count,
-        "radius": graph.radius,
-        "lambda1": float(eigs[1]) if len(eigs) > 1 else 0.0,
-        "lambdaN1": float(eigs[-1]),
-        "gap": summary.spectral_gap,
-        "connected": summary.is_connected,
-    }

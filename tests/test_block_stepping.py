@@ -75,11 +75,15 @@ def _oracle_run_epoch(state, params, steps, controller=LEADERLESS, schedule=None
 
 
 class _LoggedSchedule(ReferenceSchedule):
-    """A schedule that logs each consultation as ("advance", instant, switched)."""
+    """A schedule that logs each consultation as ("advance", instant, switched),
+    and the positions and the (segment, log length) it was consulted with."""
 
     events: list
+    consulted: list
 
     def maybe_advance(self, state):
+        self.consulted.append((state.positions.copy(),
+                               (self.current_segment, len(self.switch_log))))
         switched = super().maybe_advance(state)
         self.events.append(("advance", int(state.sample_index), switched))
         return switched
@@ -104,8 +108,8 @@ def _run_both(params, steps, seed, controller=LEADERLESS, headings=None, epsilon
         schedules = [_LoggedSchedule(headings=list(headings), epsilon=epsilon) for _ in range(2)]
     events = []
     if schedules[0] is not None:
-        schedules[0].events = events
-        schedules[1].events = []
+        schedules[0].events, schedules[0].consulted = events, []
+        schedules[1].events, schedules[1].consulted = [], []
 
     integrate = dynamics._integrate_positions
     checks = []
@@ -150,25 +154,34 @@ def _run_both(params, steps, seed, controller=LEADERLESS, headings=None, epsilon
     reused = [a[0] is b[0] for a, b in zip(seen[1:], seen[:-1])]
     assert reused == [a[0] is b[0] for a, b in zip(want_seen[1:], want_seen[:-1])]
     if schedules[0] is not None:
-        # every step consulted the schedule; steps stepped again consulted it again
-        assert {e[1] for e in events if e[0] == "advance"} == set(range(steps))
+        # the schedule saw each instant once, in order, with its positions, and
+        # nothing outside the schedule moved its segment or its log back
+        assert [e[1] for e in events if e[0] == "advance"] == list(range(steps))
+        consulted = schedules[0].consulted
+        assert all(np.array_equal(x, traj.positions[j]) for j, (x, _) in enumerate(consulted))
+        progress = [p for _, p in consulted]
+        progress.append((schedules[0].current_segment, len(schedules[0].switch_log)))
+        assert all(a[0] <= b[0] and a[1] <= b[1] for a, b in zip(progress, progress[1:]))
     return _blocks(events, seen)
 
 
 def _blocks(events, seen):
-    """Per block: start instant k, instants stepped n, instant where the graph
-    changed (None if it did not), and the instants where the schedule switched."""
-    blocks, last, switches = [], 0, []
+    """Per block: start instant k, instants stepped n, last committed instant
+    end, the instant where the graph changed (None if it did not), and the
+    instants among k+1..end where the schedule switched."""
+    blocks = []
     for event in events:
-        if event[0] == "advance" and event[2]:
-            switches.append(event[1])
-        elif event[0] == "block":
-            blocks.append({"k": last, "n": event[1], "changed": None, "switches": switches})
-            switches = []
-        elif event[0] == "instant" and event[1] > 0:
-            last = event[1]
-            if seen[last][0] is not seen[last - 1][0]:
-                blocks[-1]["changed"] = last
+        if event[0] == "block":
+            k = blocks[-1]["end"] if blocks else 0
+            blocks.append({"k": k, "n": event[1], "end": k, "changed": None, "switches": []})
+        elif not blocks:
+            continue  # instant 0, before the first block
+        elif event[0] == "instant":
+            j = blocks[-1]["end"] = event[1]
+            if seen[j][0] is not seen[j - 1][0]:
+                blocks[-1]["changed"] = j
+        elif event[2]:
+            blocks[-1]["switches"].append(event[1])
     return blocks
 
 
@@ -229,18 +242,11 @@ SWITCH_HEADINGS = [0.0, np.pi / 2, 0.0, -np.pi / 2, 0.0]
 
 def test_schedule_switch_inside_a_block():
     blocks = _run_both(SWITCHING, 1500, 5, LEADER_DYNAMIC, headings=SWITCH_HEADINGS, epsilon=0.05)
-    inside = [b for b in blocks for s in b["switches"] if s > b["k"]]
-    assert inside
-    # the block ends at the step after the switch
-    assert all(b["k"] + b["n"] == b["switches"][-1] + 1 for b in blocks if b["switches"])
-
-
-def test_switch_after_a_graph_change_is_undone():
-    blocks = _run_both(SWITCHING, 1500, 5, LEADER_DYNAMIC, headings=SWITCH_HEADINGS,
-                       epsilon=0.05)
-    undone = [b for b in blocks
-              if b["switches"] and b["changed"] is not None and b["changed"] < b["switches"][0]]
-    assert undone
+    switching = [b for b in blocks if b["switches"]]
+    # some block stepped past the switch and discarded the steps after it
+    assert any(b["switches"][0] < b["k"] + b["n"] for b in switching)
+    # a block ends at the instant it switched, where the next one starts
+    assert all(b["switches"] == [b["end"]] for b in switching)
 
 
 def test_switch_at_the_change_instant_is_kept():

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uniswarm import (GraphSweep, SpectralError, build_graph, connectivity, graphs,
-                      matrix_deviation, ring_sets, spectral_summary)
-from uniswarm.graphs import (averaging_matrix, normalized_laplacian, pairwise_distances,
-                             spectral_summary_record, write_edge_list_csv)
+from uniswarm import (GraphSweep, SpectralError, build_graph, connectivity, graphs, ring_sets,
+                      spectral_summary)
+from uniswarm.graphs import averaging_matrix, normalized_laplacian, pairwise_distances
+
+from conftest import matrix_deviation
 
 positions_strategy = st.integers(min_value=0, max_value=10_000).map(
     lambda s: np.random.default_rng(s).random((int(np.random.default_rng(s + 1).integers(2, 30)), 2)))
@@ -206,20 +207,6 @@ def test_ring_cardinality_statistics():
         cards = np.array([ring.r_i1 + ring.r_i2 for ring in rings])
         assert expected / 2 <= cards.mean() <= 2 * expected
         assert cards.max() <= 12
-
-
-def test_edge_list_export(tmp_path):
-    g = build_graph(np.array([[0.0, 0.0], [0.2, 0.0], [0.4, 0.0]]), 0.3)
-    path = tmp_path / "edges.csv"
-    write_edge_list_csv(g, path)
-    assert path.read_text().splitlines() == ["0,1", "1,2"]
-
-
-def test_spectral_summary_record_fields():
-    g = build_graph(np.random.default_rng(9).random((12, 2)), 0.5)
-    rec = spectral_summary_record(g)
-    assert set(rec) == {"n", "radius", "lambda1", "lambdaN1", "gap", "connected"}
-    assert rec["n"] == 12 and rec["radius"] == 0.5
 
 
 def test_pairwise_distances_symmetric_zero_diagonal():

@@ -7,11 +7,11 @@ from uniswarm import (ModelParams, ReferenceSchedule, RunConfig, RunPass, build_
                       sync_detect)
 from uniswarm.dynamics import LEADER_CONSTANT, LEADER_DYNAMIC, LEADERLESS, SwarmState
 from uniswarm.graphs import (averaging_matrix, averaging_rows, graph_from_distances,
-                             leader_fractions, matrix_deviation, pairwise_distances)
+                             leader_fractions, pairwise_distances)
 from uniswarm.metrics import (_AUDIT_BLOCK, FAIL, PASS, REPORT, SKIP, EnvelopeAuditReport,
                               StepMetrics, _envelope_integral, write_metrics_csv)
 
-from conftest import make_state
+from conftest import make_state, matrix_deviation
 
 
 def _metrics_for(state, params, reference=float("nan")):
