@@ -135,27 +135,35 @@ def sample_initial(params: ModelParams, seed: int) -> SwarmState:
 def _neighbor_average(values: np.ndarray, graph: ProximityGraph,
                       out: np.ndarray | None = None) -> np.ndarray:
     """The neighbor mean of ``values`` per agent, written to ``out`` when given."""
-    degrees = graph.degrees
     out = np.matmul(graph.float_adjacency, values, out=out)
-    out /= np.maximum(degrees, 1)
-    # isolated agents (possible only with self_inclusive=False) hold state
-    np.copyto(out, values, where=degrees == 0)
+    out /= graph.divisors
+    if not graph.self_inclusive:
+        # only without self loops can an agent be isolated; it holds its state
+        np.copyto(out, values, where=graph.degrees == 0)
     return out
+
+
+def _leader_pull(leader_mask: np.ndarray, reference_heading: float, reference_speed: float,
+                 vartheta: float) -> tuple:
+    """The ``pull`` of :func:`_discrete_step`: the leaders' indices, the
+    reference terms vartheta * reference, and the weight 1 - vartheta."""
+    return (np.flatnonzero(leader_mask), vartheta * reference_heading,
+            vartheta * reference_speed, 1.0 - vartheta)
 
 
 def _discrete_step(graph: ProximityGraph, headings: np.ndarray, speeds: np.ndarray,
                    new_headings: np.ndarray | None = None, new_speeds: np.ndarray | None = None,
                    pull: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One step of the averaging map on ``graph``, written to ``new_headings``
-    and ``new_speeds`` when given.  ``pull``, for leader runs, is
-    (leader_mask, reference_heading, reference_speed, vartheta): leaders mix
-    the reference with their neighbor mean via weight vartheta."""
+    and ``new_speeds`` when given.  ``pull``, for leader runs, comes from
+    :func:`_leader_pull`: leaders mix the reference with their neighbor mean
+    via weight vartheta."""
     new_headings = _neighbor_average(headings, graph, new_headings)
     new_speeds = _neighbor_average(speeds, graph, new_speeds)
     if pull is not None:
-        mask, reference_heading, reference_speed, vartheta = pull
-        new_headings[mask] = vartheta * reference_heading + (1.0 - vartheta) * new_headings[mask]
-        new_speeds[mask] = vartheta * reference_speed + (1.0 - vartheta) * new_speeds[mask]
+        leaders, heading_term, speed_term, keep = pull
+        new_headings[leaders] = keep * new_headings[leaders] + heading_term
+        new_speeds[leaders] = keep * new_speeds[leaders] + speed_term
     return new_headings, new_speeds
 
 
@@ -181,7 +189,8 @@ def leader_discrete_step(state: SwarmState, graph: ProximityGraph, reference_hea
     mask = state.leader_mask
     _require_leaders(mask)
     headings, speeds = _discrete_step(graph, state.headings, state.speeds,
-                                      pull=(mask, reference_heading, reference_speed, vartheta))
+                                      pull=_leader_pull(mask, reference_heading, reference_speed,
+                                                        vartheta))
     return SwarmState(positions=state.positions, headings=headings, speeds=speeds,
                       leader_mask=mask, sample_index=state.sample_index + 1)
 
@@ -354,10 +363,13 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
     loop steps in blocks: it applies the discrete map on the graph and the
     reference heading of the block's first instant to a block of instants
     ahead, integrates the block's positions with one closed-form call and a
-    running sum, and then commits the block's instants in order: it
-    advances one :class:`GraphSweep` and, in ``leader_dynamic`` runs,
-    consults the schedule once with the instant's state.  At the first
-    instant whose graph differs or at which the schedule switched, it keeps
+    running sum, and then commits the block's instants in order.  One
+    :class:`GraphSweep` takes them a chunk at a time (its ``runs``): the
+    chunk's distance matrices, one finiteness check, and one comparison
+    that finds the first instant whose graph differs.  In
+    ``leader_dynamic`` runs the schedule is consulted once per committed
+    instant, in order, with the instant's state.  At the first instant
+    whose graph differs or at which the schedule switched, the loop keeps
     that instant, whose state the previous graph and reference determine,
     discards the rest of the block and continues from there.  So the
     schedule sees each instant 0..steps-1 once, in order, and no switch is
@@ -367,10 +379,12 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
     The convexity check (leaderless runs) and the integration oracle cover
     the kept steps only.  ``integration_check`` is one of off/sampled/full and
     validates the closed-form position update against the quadrature oracle
-    (one agent per checked step).  ``observer``, when given, is called at
-    every instant k = 0..steps, in order and once each, with the instant's
-    graph and pairwise distance matrix; the loop does not read that matrix
-    again, so the observer may overwrite it.
+    (one agent per checked step).  ``observer``, when given, is called as
+    ``observer(graph, distances)`` with every instant k = 0..steps, in
+    order and once each, in runs of n >= 1 consecutive instants on one
+    graph: ``distances`` holds their (n, m, m) pairwise distance matrices.
+    The loop does not use those matrices again, so the observer may keep or
+    overwrite them.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -404,7 +418,7 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
     graph = sweep.advance(positions[0])
     connected[0] = is_connected = connectivity(graph)
     if observer is not None:
-        observer(graph, sweep.distances)
+        observer(graph, sweep.distances[None])
     if controller == LEADER_DYNAMIC:
         switched(0)
 
@@ -416,7 +430,7 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
         if controller != LEADERLESS:
             if controller == LEADER_DYNAMIC:
                 references[k:stop] = schedule.current_heading
-            pull = (mask, references[k], params.v_n, params.vartheta)
+            pull = _leader_pull(mask, references[k], params.v_n, params.vartheta)
         for s in range(k, stop):
             _discrete_step(graph, headings[s], speeds[s], headings[s + 1], speeds[s + 1], pull)
         expansion = (_first_expansion(headings[k:stop + 1], speeds[k:stop + 1])
@@ -425,19 +439,26 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
             stop = k + expansion[0]  # sweep up to the instant the step leaves
         _integrate_positions(positions[k:stop + 1], headings[k:stop + 1], speeds[k:stop + 1], tau)
 
-        # commit instants in order, up to the first whose graph or reference differs
-        ended, kept = False, stop
-        for j in range(k + 1, stop + 1):
-            if sweep.advance(positions[j]) is not graph:
-                graph, ended = sweep.graph, True
+        # commit instants in order, a run of instants on one graph at a time,
+        # up to the first whose graph or reference differs; kept is the last
+        ended, kept = False, k
+        for run_graph, distances in sweep.runs(positions[k + 1:stop + 1]):
+            n = len(distances)
+            if run_graph is not graph:
+                # the graph changed at the run's first instant, the last that
+                # the previous graph determines
+                graph, ended, n = run_graph, True, 1
                 is_connected = connectivity(graph)
-            connected[j] = is_connected
+            if controller == LEADER_DYNAMIC:
+                for j in range(kept + 1, min(kept + n + 1, steps)):
+                    if switched(j):
+                        n, ended = j - kept, True
+                        break
+            connected[kept + 1:kept + n + 1] = is_connected
             if observer is not None:
-                observer(graph, sweep.distances)
-            if controller == LEADER_DYNAMIC and j < steps and switched(j):
-                ended = True
+                observer(graph, distances[:n])
+            kept += n
             if ended:
-                kept = j
                 break
         for s in range(k, kept):
             if integration_check == "full" or (integration_check == "sampled" and s % 100 == 0):

@@ -42,6 +42,12 @@ class ProximityGraph:
         graph: a product with the bool matrix converts it on every call."""
         return self.adjacency.astype(float)
 
+    @cached_property
+    def divisors(self) -> np.ndarray:
+        """max(d_i, 1) as floats, the divisors of a neighbor mean, kept with
+        the graph like :attr:`float_adjacency`."""
+        return np.maximum(self.degrees, 1).astype(float)
+
 
 @dataclass(frozen=True)
 class SpectralSummary:
@@ -71,20 +77,56 @@ class RingSet:
         return len(self.leaders)
 
 
-def pairwise_distances(positions: np.ndarray) -> np.ndarray:
+def pairwise_distances(positions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The (m, m) Euclidean distances of the (m, 2) positions, written to
+    ``out`` when given."""
     positions = np.asarray(positions, dtype=float)
-    return cdist(positions, positions)
+    return cdist(positions, positions, out=out)
 
 
-def _checked_positions(positions: np.ndarray) -> np.ndarray:
+def _shaped_positions(positions: np.ndarray, ndim: int = 2) -> np.ndarray:
+    """``positions`` as floats, checked to be non-empty and of shape (m, 2),
+    or (n, m, 2) for ``ndim=3``."""
     positions = np.asarray(positions, dtype=float)
     if positions.size == 0:
         raise ValueError("empty swarm")
-    if positions.ndim != 2 or positions.shape[1] != 2:
-        raise ValueError(f"positions must have shape (m, 2), got {positions.shape}")
-    if not np.all(np.isfinite(positions)):
-        raise ValueError("positions must be finite")
+    if positions.ndim != ndim or positions.shape[-1] != 2:
+        shape = "(m, 2)" if ndim == 2 else "(n, m, 2)"
+        raise ValueError(f"positions must have shape {shape}, got {positions.shape}")
     return positions
+
+
+def _require_finite(positions: np.ndarray) -> None:
+    if not np.isfinite(positions).all():
+        raise ValueError("positions must be finite")
+
+
+def _checked_positions(positions: np.ndarray) -> np.ndarray:
+    positions = _shaped_positions(positions)
+    _require_finite(positions)
+    return positions
+
+
+# A chunk of instants holds one m x m float64 distance matrix per instant in
+# at most this many bytes, and at least one instant: at m = 23 that is 61
+# instants, and from m = 129 on one.
+_CHUNK_BYTES = 256 * 1024
+
+
+def _distance_chunks(positions: np.ndarray):
+    """Yields the pairwise distance matrices of the (N, m, 2) ``positions``
+    of successive instants in (n, m, m) chunks, each a new array that the
+    caller may keep.  The positions of a chunk are checked to be finite
+    before its distances are computed."""
+    m = positions.shape[1]
+    size = max(1, _CHUNK_BYTES // (8 * m * m))
+    for start in range(0, len(positions), size):
+        chunk = positions[start:start + size]
+        _require_finite(chunk)
+        distances = np.empty((len(chunk), m, m))
+        for x, out in zip(chunk, distances):
+            pairwise_distances(x, out=out)
+        yield distances
 
 
 def _checked_radius(radius: float) -> float:
@@ -121,28 +163,63 @@ class GraphSweep:
     """The neighbor graphs of successive sampling instants.
 
     Neighbor relations change only at sampling instants, and between most
-    consecutive instants they do not change at all.  Each call of
-    :meth:`advance` computes one distance matrix and the strict-``<``
-    adjacency; when that adjacency equals the previous instant's, it returns
-    the previous :class:`ProximityGraph` object itself, so a caller that
-    keeps quantities derived from a graph reuses them while ``graph is
-    previous``.  An adjacency that returns to an earlier, non-adjacent
-    instant's gets a new object.
+    consecutive instants they do not change at all.  The sweep computes one
+    distance matrix per instant and the strict-``<`` adjacency, a chunk of
+    instants at a time (see :meth:`runs`); while the adjacency equals the
+    previous instant's, it keeps the previous :class:`ProximityGraph`
+    object itself, so a caller that keeps quantities derived from a graph
+    reuses them while ``graph is previous``.  An adjacency that returns to
+    an earlier, non-adjacent instant's gets a new object.
     """
 
     def __init__(self, radius: float, self_inclusive: bool = True):
         self.radius = _checked_radius(radius)
         self.self_inclusive = self_inclusive
-        self.graph: ProximityGraph | None = None
-        self.distances: np.ndarray | None = None  # pairwise distances of the last instant
+        self.graph: ProximityGraph | None = None  # the graph of the last instant taken
+        self.distances: np.ndarray | None = None  # pairwise distances of the last advance()
+
+    def runs(self, positions: np.ndarray):
+        """Yields the next instants, whose agent positions are the (N, m, 2)
+        ``positions``, in order, as runs of consecutive instants on one
+        graph: (graph, distances), ``distances`` the (n, m, m) pairwise
+        distance matrices of the run's instants.
+
+        A run ends at a graph change or at the end of a chunk, so two runs
+        in a row may share a graph.  Each chunk's positions are checked to
+        be finite, and its adjacencies are compared with the current graph
+        in one operation.  The sweep does not read or write a chunk's
+        distances once it has yielded them, nor its adjacencies, of which a
+        new graph keeps a view.  The sweep takes a run's graph
+        as its own only when it yields that run: a caller that stops
+        consuming leaves the sweep at the graph of the last instant it took.
+        """
+        positions = np.asarray(positions, dtype=float)
+        if positions.ndim == 3 and not len(positions):
+            return  # no instants
+        positions = _shaped_positions(positions, ndim=3)
+        m = positions.shape[1]
+        for distances in _distance_chunks(positions):
+            n = len(distances)
+            chunk = distances < self.radius
+            chunk.reshape(n, m * m)[:, ::m + 1] = self.self_inclusive
+            start = 0
+            while start < n:
+                if self.graph is None or not np.array_equal(chunk[start], self.graph.adjacency):
+                    self.graph = _graph(chunk[start], self.radius, self.self_inclusive)
+                stop = start + 1
+                if stop < n:
+                    changed = np.flatnonzero((chunk[stop:] != self.graph.adjacency).any(axis=(1, 2)))
+                    stop = stop + int(changed[0]) if len(changed) else n
+                yield self.graph, distances[start:stop]
+                start = stop
 
     def advance(self, positions: np.ndarray) -> ProximityGraph:
-        """The graph of ``positions``, the next instant's agent positions."""
-        self.distances = pairwise_distances(_checked_positions(positions))
-        adjacency = _adjacency(self.distances, self.radius, self.self_inclusive)
-        if self.graph is None or not np.array_equal(adjacency, self.graph.adjacency):
-            self.graph = _graph(adjacency, self.radius, self.self_inclusive)
-        return self.graph
+        """The graph of ``positions``, the next instant's agent positions: the
+        one-instant case of :meth:`runs`.  Its distance matrix is left in
+        :attr:`distances`."""
+        graph, distances = next(self.runs(_shaped_positions(positions)[None]))
+        self.distances = distances[0]
+        return graph
 
 
 def connectivity(graph: ProximityGraph) -> bool:

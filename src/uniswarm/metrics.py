@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import ModelParams, SwarmState, Trajectory
-from .graphs import (GraphSweep, ProximityGraph, averaging_matrix, averaging_rows,
-                     connectivity, graph_from_distances, leader_fractions, pairwise_distances,
-                     ring_sets)
+from .graphs import (GraphSweep, ProximityGraph, _distance_chunks, averaging_matrix,
+                     averaging_rows, connectivity, graph_from_distances, leader_fractions,
+                     pairwise_distances, ring_sets)
 from .graphs import build_graph  # noqa: F401  (a layer boundary that perfbench/tracing.py wraps)
 
 PASS, SKIP, FAIL, REPORT = "PASS", "SKIP", "FAIL", "REPORT"
@@ -71,7 +71,7 @@ def step_metrics(state: SwarmState, baseline: MetricsBaseline,
     distances = pairwise_distances(state.positions)
     initial_graph = baseline.graph
     graph = graph_from_distances(distances, initial_graph.radius, initial_graph.self_inclusive)
-    drift = _max_abs_difference(distances, baseline.distances, out=distances)
+    drift = float(_max_abs_difference(distances, baseline.distances, out=distances))
     alpha_drift = 0.0
     if state.leader_mask.any():
         alpha_drift, _ = _leader_terms(graph, state.leader_mask, baseline.alphas)
@@ -95,11 +95,30 @@ def _sync_columns(headings: np.ndarray, speeds: np.ndarray, reference_headings: 
             tracking(headings, reference_headings), tracking(speeds, reference_speeds))
 
 
-def _max_abs_difference(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> float:
-    """max |a - b|, taken in ``out``, which may be ``a`` or ``b``: fresh m x m
-    temporaries cost more than the arithmetic."""
+def _max_abs_difference(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """max |a - b| over the last two axes, one value per leading index,
+    taken in ``out``, which may be ``a`` or ``b``: fresh m x m temporaries
+    cost more than the arithmetic."""
     np.subtract(a, b, out=out)
-    return float(np.abs(out, out=out).max())
+    return np.abs(out, out=out).max(axis=(-2, -1))
+
+
+def _distance_steps(distances: np.ndarray,
+                    last: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """max |Delta(t_j) - Delta(t_{j-1})| for the instants j of the (n, m, m)
+    chunk ``distances`` of successive distance matrices, and the (n, m, m)
+    scratch array they were taken in.  ``last`` is the chunk before, or None
+    at the first instant, which then has no value.  Once the step to the
+    first instant is taken, ``last`` is scratch space: its matrices are
+    overwritten when there are enough of them, as a fresh array would add
+    one more to the memory that each step reads."""
+    n = len(distances)
+    out = last[:n] if last is not None and len(last) >= n else np.empty_like(distances)
+    if last is not None:
+        np.subtract(distances[0], last[-1], out=out[0])
+    np.subtract(distances[1:], distances[:-1], out=out[1:])
+    taken = out if last is not None else out[1:]
+    return np.abs(taken, out=taken).max(axis=(-2, -1)), out
 
 
 def _p_deviation(graph: ProximityGraph, baseline: MetricsBaseline) -> float:
@@ -122,13 +141,11 @@ def _leader_terms(graph: ProximityGraph, leader_mask: np.ndarray,
 
 def _distance_changes(positions: np.ndarray) -> np.ndarray:
     """max over pairs of |Delta_ij(t_{k+1}) - Delta_ij(t_k)| for each step k."""
-    changes = np.empty(len(positions) - 1)
-    dist_k = pairwise_distances(positions[0])
-    for k in range(len(changes)):
-        dist_k1 = pairwise_distances(positions[k + 1])
-        changes[k] = _max_abs_difference(dist_k1, dist_k, out=dist_k)
-        dist_k = dist_k1
-    return changes
+    changes, last = [], None
+    for distances in _distance_chunks(positions):
+        changes += _distance_steps(distances, last)[0].tolist()
+        last = distances
+    return np.array(changes)
 
 
 def _leader_shares(traj: Trajectory, params: ModelParams) -> tuple[np.ndarray, float, int | None]:
@@ -138,16 +155,17 @@ def _leader_shares(traj: Trajectory, params: ModelParams) -> tuple[np.ndarray, f
     mask = traj.leader_mask
     sweep = GraphSweep(params.r_n, params.self_inclusive)
     graph = initial = None
-    mu = 0.0
-    for k, positions in enumerate(traj.positions):
-        if sweep.advance(positions) is not graph:
-            graph = sweep.graph
+    mu, k = 0.0, 0
+    for run_graph, distances in sweep.runs(traj.positions):
+        if run_graph is not graph:
+            graph = run_graph
             if initial is None:
                 initial, _ = leader_fractions(graph, mask)
             drift, empty = _leader_terms(graph, mask, initial)
-        if empty:
-            return initial, mu, k
-        mu = max(mu, drift)
+            if empty:
+                return initial, mu, k
+            mu = max(mu, drift)
+        k += len(distances)
     return initial, mu, None
 
 
@@ -158,12 +176,16 @@ def _envelope_integral(values_k: np.ndarray, values_k1: np.ndarray, tau: float,
 
     Per-agent signals are linear in t, so the envelope is piecewise linear
     and convex; the trapezoid rule on the substep grid over-estimates it,
-    which keeps the audit's right-hand side conservative.
+    which keeps the audit's right-hand side conservative.  The substeps are
+    taken one at a time in two (B, m) buffers.
     """
-    s = np.linspace(0.0, 1.0, substeps + 1)[:, None]
-    interp = (1.0 - s) * values_k[:, None, :]  # (B, S+1, m)
-    interp += s * values_k1[:, None, :]
-    envelope = interp.max(axis=2) - interp.min(axis=2)
+    s = np.linspace(0.0, 1.0, substeps + 1)
+    envelope = np.empty((len(values_k), substeps + 1))
+    interp, term = np.empty(np.shape(values_k)), np.empty(np.shape(values_k))
+    for i in range(substeps + 1):
+        np.multiply(1.0 - s[i], values_k, out=interp)
+        interp += np.multiply(s[i], values_k1, out=term)
+        np.subtract(interp.max(axis=1), interp.min(axis=1), out=envelope[:, i])
     return np.trapezoid(envelope, dx=1.0 / substeps, axis=1) * tau
 
 
@@ -185,8 +207,8 @@ class RecursionAuditReport:
                 "fail_count": self.fail_count, "max_violation": self.max_violation}
 
 
-# Instants per block of the envelope integrals: their (block, S+1, m)
-# temporaries stay a few MB instead of growing with the trajectory length.
+# Instants per block of the envelope integrals: their (block, S+1)
+# envelopes stay small instead of growing with the trajectory length.
 _AUDIT_BLOCK = 128
 
 
@@ -328,11 +350,12 @@ class RunPass:
     computed in the simulation's own pass over the sampling instants.
 
     Give :meth:`observe` to :func:`run_epoch` as its ``observer``: it then
-    sees each instant's graph and distance matrix once, and computes the
-    terms of a graph only when the graph object differs from the previous
-    instant's (see :class:`GraphSweep`).  After the run, :meth:`step_metrics`,
-    :meth:`recursion_audit` and :meth:`geometric_envelope_audit` give what
-    the public functions of the same names give on the trajectory.
+    sees each instant's graph and distance matrix once, in runs of instants
+    on one graph, and computes the terms of a graph only when the graph
+    object differs from the previous run's (see :class:`GraphSweep`).  After
+    the run, :meth:`step_metrics`, :meth:`recursion_audit` and
+    :meth:`geometric_envelope_audit` give what the public functions of the
+    same names give on the trajectory.
     """
 
     def __init__(self, baseline: MetricsBaseline):
@@ -345,18 +368,19 @@ class RunPass:
         self._first_empty: int | None = None
         self._graph: ProximityGraph | None = None
         self._graph_terms = (0.0, 0.0, False)
-        self._previous: np.ndarray | None = None
+        self._last: np.ndarray | None = None  # the distances of the last run seen
 
     def observe(self, graph: ProximityGraph, distances: np.ndarray) -> None:
-        """Takes the next instant's graph and distance matrix, and keeps the
-        matrix as scratch space for the instant after it."""
-        k = len(self._drift)
-        scratch = self._previous if self._previous is not None else np.empty_like(distances)
-        if self._previous is not None:
-            self._distance_change.append(
-                _max_abs_difference(distances, self._previous, out=scratch))
-        self._drift.append(_max_abs_difference(distances, self.baseline.distances, out=scratch))
-        self._previous = distances
+        """Takes the next n instants, which share ``graph``, with their
+        (n, m, m) pairwise distance matrices, and keeps the matrices as
+        scratch space for the next call.  Per-instant terms are taken as
+        reductions over the n matrices; those of the graph once."""
+        k, n = len(self._drift), len(distances)
+        steps, scratch = _distance_steps(distances, self._last)
+        self._distance_change += steps.tolist()
+        self._drift += _max_abs_difference(distances, self.baseline.distances,
+                                           out=scratch).tolist()
+        self._last = distances
         if graph is not self._graph:
             self.graph_changes += self._graph is not None
             self._graph = graph
@@ -367,8 +391,8 @@ class RunPass:
         p_dev, alpha_drift, empty = self._graph_terms
         if empty and self._first_empty is None:
             self._first_empty = k
-        self._p_deviation.append(p_dev)
-        self._alpha_drift.append(alpha_drift)
+        self._p_deviation += [p_dev] * n
+        self._alpha_drift += [alpha_drift] * n
 
     def step_metrics(self, traj: Trajectory) -> list[StepMetrics]:
         """One row per instant; instant k > 0 is tracked against the reference

@@ -26,6 +26,32 @@ def matrix_deviation(p_now: np.ndarray, p_initial: np.ndarray) -> float:
     return float(np.linalg.norm(p_now - p_initial, 2))
 
 
+def envelope_integral_oracle(values_k: np.ndarray, values_k1: np.ndarray, tau: float,
+                             substeps: int) -> np.ndarray:
+    """metrics._envelope_integral as one (B, S+1, m) array: the oracle of the
+    substep loop, with the same arithmetic per element."""
+    s = np.linspace(0.0, 1.0, substeps + 1)[:, None]
+    interp = (1.0 - s) * values_k[:, None, :]  # (B, S+1, m)
+    interp += s * values_k1[:, None, :]
+    envelope = interp.max(axis=2) - interp.min(axis=2)
+    return np.trapezoid(envelope, dx=1.0 / substeps, axis=1) * tau
+
+
+def trajectory_csv_oracle(traj, path) -> None:
+    """harness.write_trajectory_csv with one f-string per row and a join per
+    instant: the oracle of the per-agent row templates."""
+    agents = [f"{i},{('follower', 'leader')[int(x)]}," for i, x in enumerate(traj.leader_mask)]
+    with open(path, "w", newline="") as fh:
+        fh.write("k,t,agent,role,x,y,theta,v\n")
+        for k, t in enumerate(traj.times.tolist()):
+            prefix = f"{k},{t:.17g},"
+            fh.write("".join(
+                f"{prefix}{agent}{x:.17g},{y:.17g},{theta:.17g},{v:.17g}\n"
+                for agent, (x, y), theta, v in zip(agents, traj.positions[k].tolist(),
+                                                   traj.headings[k].tolist(),
+                                                   traj.speeds[k].tolist())))
+
+
 @pytest.fixture
 def small_params():
     return ModelParams(n=10, r_n=0.5, v_n=0.1, tau_n=0.01)

@@ -6,7 +6,7 @@ import pytest
 from uniswarm import (LEADER_CONSTANT, LEADER_DYNAMIC, LEADERLESS, ConvexityError, GraphSweep,
                       ModelParams, ReferenceSchedule, closed_form_displacement, connectivity,
                       run_epoch, sample_initial)
-from uniswarm import dynamics
+from uniswarm import dynamics, graphs
 
 
 def _oracle_average(values, graph):
@@ -38,7 +38,7 @@ def _oracle_run_epoch(state, params, steps, controller=LEADERLESS, schedule=None
             is_connected = connectivity(graph)
         connected[k] = is_connected
         if observer is not None:
-            observer(graph, sweep.distances)
+            observer(graph, sweep.distances[None])
         if k == steps:
             break
         new_h = _oracle_average(current.headings, graph)
@@ -90,18 +90,26 @@ class _LoggedSchedule(ReferenceSchedule):
 
 
 def _instant_log():
-    """An observer that keeps a copy of what it sees at each instant."""
+    """An observer that keeps a copy of what it sees at each instant: it
+    unrolls the (n, m, m) distances of a run of instants on one graph."""
     seen = []
 
     def observe(graph, distances):
-        seen.append((graph, graph.adjacency.copy(), distances.copy()))
+        assert distances.ndim == 3 and len(distances) >= 1
+        seen.extend((graph, graph.adjacency.copy(), d.copy()) for d in distances)
     return seen, observe
 
 
+def _chunk_bytes(m, instants):
+    """A chunk budget that makes a sweep's chunks hold ``instants`` instants of m agents."""
+    return instants * 8 * m * m
+
+
 def _run_both(params, steps, seed, controller=LEADERLESS, headings=None, epsilon=0.5,
-              reference_heading=0.3, integration_check="sampled"):
+              reference_heading=0.3, integration_check="sampled", chunk_bytes=None):
     """run_epoch and the oracle on the same input; asserts they agree exactly
-    and returns the blocks that run_epoch stepped."""
+    and returns the blocks that run_epoch stepped (see _blocks).
+    ``chunk_bytes``, when given, replaces the sweep's chunk budget."""
     state = sample_initial(params, seed)
     schedules = [None, None]
     if controller == LEADER_DYNAMIC:
@@ -124,15 +132,26 @@ def _run_both(params, steps, seed, controller=LEADERLESS, headings=None, epsilon
         checks.append((a, b, c, d))
         return oracle(a, b, c, d, tau, **kw)
 
+    distance_chunks = graphs._distance_chunks
+
+    def logged_chunks(positions):
+        for distances in distance_chunks(positions):
+            events.append(("chunk", len(distances)))
+            yield distances
+
     seen, observe = _instant_log()
 
     def observe_logged(graph, distances):
-        events.append(("instant", len(seen)))
+        start = len(seen)
         observe(graph, distances)
+        events.extend(("instant", j) for j in range(start, len(seen)))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_integrate_positions", logged_integrate)
         mp.setattr(dynamics, "integrate_position_oracle", logged_oracle)
+        mp.setattr(graphs, "_distance_chunks", logged_chunks)
+        if chunk_bytes is not None:
+            mp.setattr(graphs, "_CHUNK_BYTES", chunk_bytes)
         traj = run_epoch(state, params, steps, controller=controller, schedule=schedules[0],
                          reference_heading=reference_heading, integration_check=integration_check,
                          observer=observe_logged)
@@ -167,15 +186,21 @@ def _run_both(params, steps, seed, controller=LEADERLESS, headings=None, epsilon
 
 def _blocks(events, seen):
     """Per block: start instant k, instants stepped n, last committed instant
-    end, the instant where the graph changed (None if it did not), and the
-    instants among k+1..end where the schedule switched."""
+    end, the instant where the graph changed (None if it did not), the
+    instants among k+1..end where the schedule switched, and the (first,
+    last) instants of the chunks whose distances the sweep computed."""
     blocks = []
     for event in events:
         if event[0] == "block":
             k = blocks[-1]["end"] if blocks else 0
-            blocks.append({"k": k, "n": event[1], "end": k, "changed": None, "switches": []})
+            blocks.append({"k": k, "n": event[1], "end": k, "changed": None, "switches": [],
+                           "chunks": []})
         elif not blocks:
             continue  # instant 0, before the first block
+        elif event[0] == "chunk":
+            chunks = blocks[-1]["chunks"]
+            first = chunks[-1][1] + 1 if chunks else blocks[-1]["k"] + 1
+            chunks.append((first, first + event[1] - 1))
         elif event[0] == "instant":
             j = blocks[-1]["end"] = event[1]
             if seen[j][0] is not seen[j - 1][0]:
@@ -324,3 +349,63 @@ def test_convexity_guard_with_changing_graph(monkeypatch, spread):
     with pytest.raises(ConvexityError, match=f"{label} envelope expanded"):
         run_epoch(state, p, 300, observer=observe)
     assert len(seen) == step + 1
+
+
+# --- committing a block in chunks of instants ---------------------------------
+
+@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_CONSTANT, LEADER_DYNAMIC])
+@pytest.mark.parametrize("seed", range(2))
+def test_chunks_of_one_instant_match_per_instant_oracle(mode, seed):
+    rng, params = _random_params(mode, seed)
+    blocks = _run_both(params, int(rng.integers(50, 200)), seed, mode,
+                       headings=rng.uniform(-np.pi, np.pi, 6).tolist(),
+                       epsilon=float(rng.uniform(0.3, 1.0)),
+                       reference_heading=float(rng.uniform(-1.0, 1.0)),
+                       chunk_bytes=_chunk_bytes(params.total_count, 1))
+    assert all(first == last for b in blocks for first, last in b["chunks"])
+
+
+def test_graph_change_on_chunk_boundaries():
+    p = ModelParams(n=30, r_n=0.2, v_n=0.6, tau_n=0.02)
+    blocks = _run_both(p, 400, 2, chunk_bytes=_chunk_bytes(30, 3))
+    chunks = [(b["changed"], c) for b in blocks for c in b["chunks"]
+              if b["changed"] is not None and c[0] <= b["changed"] <= c[1]]
+    assert any(changed == first for changed, (first, last) in chunks if first < last)
+    assert any(changed == last for changed, (first, last) in chunks if first < last)
+    assert any(first < changed < last for changed, (first, last) in chunks)
+
+
+def test_schedule_switch_on_chunk_boundaries():
+    blocks = _run_both(SWITCHING, 1500, 5, LEADER_DYNAMIC, headings=SWITCH_HEADINGS,
+                       epsilon=0.05, chunk_bytes=_chunk_bytes(SWITCHING.total_count, 2))
+    switches = [(s, c) for b in blocks for s in b["switches"] for c in b["chunks"]
+                if c[0] <= s <= c[1] and c[0] < c[1]]
+    assert any(s == first for s, (first, last) in switches)
+    assert any(s == last for s, (first, last) in switches)
+
+
+def test_single_agent_swarm():
+    p = ModelParams(n=1, r_n=0.3, v_n=0.5, tau_n=0.02)
+    blocks = _run_both(p, 300, 3)
+    # one agent's graph never changes, so every block runs to its end and doubles
+    assert [b["n"] for b in blocks] == [8, 16, 32, 64, 128, 52]
+    assert all(b["changed"] is None for b in blocks)
+
+
+def test_non_finite_position_inside_a_chunk_raises():
+    # equal headings and speeds stay put, so the positions grow by 1e307 per
+    # step and overflow to inf at step 18, in the chunk of block 9..24
+    p = ModelParams(n=3, r_n=0.5, v_n=1e307, tau_n=1.0)
+    state = dynamics.SwarmState(positions=np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]]),
+                                headings=np.zeros(3), speeds=np.full(3, 1e307),
+                                leader_mask=np.zeros(3, dtype=bool))
+    seen, observe = _instant_log()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="positions must be finite") as raised:
+            run_epoch(state, p, 30, integration_check="off", observer=observe)
+        overflow = np.array([[0.0, 0.0], [np.inf, 0.0], [1.8e308 * 0.5, 0.1]])
+        with pytest.raises(ValueError) as per_instant:
+            GraphSweep(p.r_n).advance(overflow)
+    assert str(raised.value) == str(per_instant.value)
+    # the chunks before the one holding the overflow were committed
+    assert len(seen) == 9

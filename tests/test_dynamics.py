@@ -278,3 +278,28 @@ def test_run_epoch_records_controls():
     np.testing.assert_allclose(traj.headings[1] - traj.headings[0],
                                omegas[0] * p.tau_n, atol=1e-15)
     np.testing.assert_allclose(traj.speeds[3] - traj.speeds[2], accels[2] * p.tau_n, atol=1e-15)
+
+
+@pytest.mark.parametrize("leaders", [[3, 4], [0, 3]])  # consecutive indices, and not
+def test_leader_step_holds_isolated_agents_without_self_loops(leaders):
+    positions = np.array([[0.0, 0.0], [2.0, 2.0], [2.1, 2.0], [2.0, 2.1], [5.0, 5.0]])
+    g = build_graph(positions, 0.3, self_inclusive=False)
+    assert np.flatnonzero(g.degrees == 0).tolist() == [0, 4]
+    assert np.array_equal(g.divisors, np.maximum(g.degrees, 1).astype(float))
+    mask = np.zeros(5, dtype=bool)
+    mask[leaders] = True
+    rng = np.random.default_rng(4)
+    state = SwarmState(positions=positions, headings=rng.uniform(-3, 3, 5),
+                       speeds=rng.uniform(0, 1, 5), leader_mask=mask)
+    nxt = leader_discrete_step(state, g, 0.7, 0.2, vartheta=0.4)
+
+    def held_average(values):
+        average = (g.adjacency @ values) / np.maximum(g.degrees, 1)
+        return np.where(g.degrees > 0, average, values)
+
+    want_h, want_v = held_average(state.headings), held_average(state.speeds)
+    want_h[mask] = 0.4 * 0.7 + (1.0 - 0.4) * want_h[mask]
+    want_v[mask] = 0.4 * 0.2 + (1.0 - 0.4) * want_v[mask]
+    assert np.array_equal(nxt.headings, want_h) and np.array_equal(nxt.speeds, want_v)
+    if 0 not in leaders:
+        assert nxt.headings[0] == state.headings[0] and nxt.speeds[0] == state.speeds[0]

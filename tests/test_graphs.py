@@ -308,3 +308,42 @@ def test_graph_sweep_input_validation():
         sweep.advance(np.array([[0.0, np.inf], [0.1, 0.1]]))
     with pytest.raises(ValueError, match="shape"):
         sweep.advance(np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("instants", [1, 3, None])
+@pytest.mark.parametrize("self_inclusive", [True, False])
+def test_graph_sweep_runs_match_per_instant_advance(monkeypatch, instants, self_inclusive):
+    rng = np.random.default_rng(13)
+    steps = np.cumsum(rng.normal(scale=0.03, size=(60, 20, 2)), axis=0)
+    positions = rng.random((20, 2)) + steps
+    if instants is not None:
+        monkeypatch.setattr(graphs, "_CHUNK_BYTES", instants * 8 * 20 * 20)
+    want_sweep = GraphSweep(0.3, self_inclusive)
+    want = [(want_sweep.advance(x), want_sweep.distances.copy()) for x in positions]
+    sweep = GraphSweep(0.3, self_inclusive)
+    got = [(graph, d) for graph, run in sweep.runs(positions) for d in run]
+    assert len(got) == len(want)
+    for (graph, d), (want_graph, want_d) in zip(got, want):
+        assert np.array_equal(d, want_d)
+        assert np.array_equal(graph.adjacency, want_graph.adjacency)
+        assert np.array_equal(graph.degrees, want_graph.degrees)
+    # the same reuse of graph objects, and the sweep ends on the last graph
+    assert ([a[0] is b[0] for a, b in zip(got[1:], got[:-1])]
+            == [a[0] is b[0] for a, b in zip(want[1:], want[:-1])])
+    assert sweep.graph is got[-1][0]
+    assert list(GraphSweep(0.3).runs(positions[:0])) == []
+
+
+def test_graph_sweep_runs_check_each_chunk_for_finite_positions(monkeypatch):
+    monkeypatch.setattr(graphs, "_CHUNK_BYTES", 4 * 8 * 3 * 3)  # 4 instants per chunk
+    positions = np.tile(np.array([[0.0, 0.0], [0.2, 0.0], [0.5, 0.0]]), (10, 1, 1))
+    positions[6, 1, 0] = np.nan
+    sweep = GraphSweep(0.3)
+    runs = sweep.runs(positions)
+    graph, distances = next(runs)
+    assert len(distances) == 4  # the first chunk, on one graph
+    with pytest.raises(ValueError, match="positions must be finite"):
+        next(runs)
+    assert sweep.graph is graph
+    with pytest.raises(ValueError, match=r"shape \(n, m, 2\)"):
+        next(GraphSweep(0.3).runs(np.zeros((2, 3, 3))))

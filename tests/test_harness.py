@@ -2,11 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from uniswarm import (ConfigError, ModelParams, Obstacle, ReferenceSchedule, RunConfig,
                       build_graph, campaign, load_trajectory, run, scenario_fig3)
-from uniswarm.dynamics import LEADER_CONSTANT, LEADER_DYNAMIC
+from uniswarm.dynamics import LEADER_CONSTANT, LEADER_DYNAMIC, Trajectory
 from uniswarm.harness import write_trajectory_csv
+
+from conftest import trajectory_csv_oracle
 
 
 def _leaderless_config(steps=20, seed=0, **kw):
@@ -270,3 +275,42 @@ def test_write_trajectory_csv_matches_per_element_oracle(tmp_path):
     write_trajectory_csv(traj, tmp_path / "got.csv")
     _oracle_trajectory_csv(traj, tmp_path / "want.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+EDGE_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, np.nan,
+                                         np.inf, 0.1]),
+                        st.floats(-10.0, 10.0), st.floats())
+
+
+@st.composite
+def _trajectories(draw):
+    instants, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    params = ModelParams(n=m, r_n=0.5, v_n=0.1, tau_n=0.01)
+    return Trajectory(
+        times=draw(hnp.arrays(float, instants, elements=EDGE_FLOATS)),
+        positions=draw(hnp.arrays(float, (instants, m, 2), elements=EDGE_FLOATS)),
+        headings=draw(hnp.arrays(float, (instants, m), elements=EDGE_FLOATS)),
+        speeds=draw(hnp.arrays(float, (instants, m), elements=EDGE_FLOATS)),
+        leader_mask=draw(hnp.arrays(bool, m)), params=params, controller=LEADER_CONSTANT,
+        reference_headings=np.zeros(instants - 1), reference_speed=0.1,
+        connected=np.ones(instants, dtype=bool))
+
+
+def _one_agent(leader):
+    values = np.array([[-0.0], [5e-324], [1e300]])
+    return Trajectory(times=np.array([0.0, 0.01, 0.02]), positions=np.stack([values, -values], 2),
+                      headings=values, speeds=-values, leader_mask=np.array([leader]),
+                      params=ModelParams(n=1, r_n=0.5, v_n=0.1, tau_n=0.01),
+                      controller=LEADER_CONSTANT, reference_headings=np.zeros(2),
+                      reference_speed=0.1, connected=np.ones(3, dtype=bool))
+
+
+@given(_trajectories())
+@example(_one_agent(False))
+@example(_one_agent(True))
+@settings(max_examples=150, deadline=None)
+def test_write_trajectory_csv_matches_per_row_oracle(tmp_path_factory, traj):
+    out = tmp_path_factory.mktemp("csv")
+    write_trajectory_csv(traj, out / "got.csv")
+    trajectory_csv_oracle(traj, out / "want.csv")
+    assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()

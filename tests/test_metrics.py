@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from uniswarm import (ModelParams, ReferenceSchedule, RunConfig, RunPass, build_graph,
                       connectivity, geometric_envelope_audit, metrics_baseline, recursion_audit,
                       ring_containment_check, run, run_epoch, sample_initial, step_metrics,
                       sync_detect)
+from uniswarm import graphs
 from uniswarm.dynamics import LEADER_CONSTANT, LEADER_DYNAMIC, LEADERLESS, SwarmState
 from uniswarm.graphs import (averaging_matrix, averaging_rows, graph_from_distances,
                              leader_fractions, pairwise_distances)
 from uniswarm.metrics import (_AUDIT_BLOCK, FAIL, PASS, REPORT, SKIP, EnvelopeAuditReport,
                               StepMetrics, _envelope_integral, write_metrics_csv)
 
-from conftest import make_state, matrix_deviation
+from conftest import envelope_integral_oracle, make_state, matrix_deviation
 
 
 def _metrics_for(state, params, reference=float("nan")):
@@ -138,6 +142,33 @@ def test_envelope_integral_refinement_conservative():
     fine = _envelope_integral(vk, vk1, 1.0, 64)
     finest = _envelope_integral(vk, vk1, 1.0, 512)
     assert np.all(coarse >= fine - 1e-15) and np.all(fine - 1e-15 >= finest - 2e-15)
+
+
+# signed zeros, subnormals and magnitudes near 1e300, next to ordinary values
+EDGE_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.0]),
+                        st.floats(-10.0, 10.0),
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _envelope_inputs(draw):
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 6)))
+    return (draw(hnp.arrays(float, shape, elements=EDGE_FLOATS)),
+            draw(hnp.arrays(float, shape, elements=EDGE_FLOATS)),
+            draw(st.sampled_from([0.01, 1.0, 3.7])), draw(st.integers(1, 20)))
+
+
+@given(_envelope_inputs())
+@example((np.array([[-0.0]]), np.array([[5e-324]]), 1.0, 1))
+@example((np.array([[1e300, -1e300, -0.0]]), np.array([[-1e300, 2.5e-310, 1e300]]), 0.01, 16))
+@settings(max_examples=200, deadline=None)
+def test_envelope_integral_matches_whole_array_oracle(inputs):
+    values_k, values_k1, tau, substeps = inputs
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _envelope_integral(values_k, values_k1, tau, substeps)
+        want = envelope_integral_oracle(values_k, values_k1, tau, substeps)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def _oracle_envelope_integral(values_k, values_k1, tau, substeps):
@@ -488,6 +519,8 @@ def _run(params, steps, seed, mode=LEADERLESS, **kw):
     result = run(RunConfig(params=params, steps=steps, seed=seed, mode=mode, **kw))
     _assert_fused_matches_oracle(result.trajectory, result.metrics, result.recursion,
                                  result.envelope)
+    # run() reads the sync index off its rows
+    assert result.sync_index == sync_detect(result.trajectory, 1e-6, 1e-6)
     return result
 
 
@@ -503,6 +536,21 @@ def test_run_pass_matches_per_instant_oracle(mode, seed):
                 if mode == LEADER_DYNAMIC else None)
     _run(params, int(rng.integers(20, 150)), seed, mode, schedule=schedule,
          reference_heading=float(rng.uniform(-1.0, 1.0)))
+
+
+@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_CONSTANT])
+def test_run_pass_in_chunks_of_one_instant_matches_oracle(monkeypatch, mode):
+    params = ModelParams(n=15, r_n=0.3, v_n=0.4, tau_n=0.03,
+                         alpha_n=0.0 if mode == LEADERLESS else 0.2, self_inclusive=False)
+    monkeypatch.setattr(graphs, "_CHUNK_BYTES", 1)
+    _run(params, 120, 3, mode, reference_heading=0.4)
+
+
+def test_run_pass_single_agent():
+    result = _run(ModelParams(n=1, r_n=0.3, v_n=0.4, tau_n=0.02), 50, 1)
+    assert result.sync_index == 0
+    assert all(r.max_distance_drift == 0.0 and r.p_deviation == 0.0 for r in result.metrics)
+    assert result.recursion.fail_count == 0
 
 
 def test_run_pass_envelope_pass_matches_oracle():
