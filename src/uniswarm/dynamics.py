@@ -365,8 +365,8 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
     ahead, integrates the block's positions with one closed-form call and a
     running sum, and then commits the block's instants in order.  One
     :class:`GraphSweep` takes them a chunk at a time (its ``runs``): the
-    chunk's distance matrices, one finiteness check, and one comparison
-    that finds the first instant whose graph differs.  In
+    chunk's condensed distances, each pair's once, one finiteness check, and
+    one comparison that finds the first instant whose graph differs.  In
     ``leader_dynamic`` runs the schedule is consulted once per committed
     instant, in order, with the instant's state.  At the first instant
     whose graph differs or at which the schedule switched, the loop keeps
@@ -382,9 +382,10 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
     (one agent per checked step).  ``observer``, when given, is called as
     ``observer(graph, distances)`` with every instant k = 0..steps, in
     order and once each, in runs of n >= 1 consecutive instants on one
-    graph: ``distances`` holds their (n, m, m) pairwise distance matrices.
-    The loop does not use those matrices again, so the observer may keep or
-    overwrite them.
+    graph: ``distances`` holds their (n, P) condensed pairwise distances,
+    one row of the P = m(m-1)/2 pairs i < j per instant in the order of
+    ``scipy.spatial.distance.pdist``.  The loop does not use those rows
+    again, so the observer may keep or overwrite them.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 
 class SpectralError(RuntimeError):
@@ -107,25 +107,46 @@ def _checked_positions(positions: np.ndarray) -> np.ndarray:
     return positions
 
 
-# A chunk of instants holds one m x m float64 distance matrix per instant in
-# at most this many bytes, and at least one instant: at m = 23 that is 61
-# instants, and from m = 129 on one.
+# A chunk of instants holds one condensed distance vector, m(m-1)/2 float64
+# entries, per instant in at most this many bytes, and at least one instant:
+# at m = 23 that is 129 instants, at m = 130 three, and from m = 182 on one;
+# from m = 257 on one instant's vector alone is above the budget.
 _CHUNK_BYTES = 256 * 1024
+
+# Below this many agents, the fixed cost of a pdist call outweighs its
+# arithmetic, and one numpy pass over the whole chunk is faster.
+_PDIST_MIN_AGENTS = 64
 
 
 def _distance_chunks(positions: np.ndarray):
-    """Yields the pairwise distance matrices of the (N, m, 2) ``positions``
-    of successive instants in (n, m, m) chunks, each a new array that the
-    caller may keep.  The positions of a chunk are checked to be finite
-    before its distances are computed."""
+    """Yields the pairwise distances of the (N, m, 2) ``positions`` of
+    successive instants in (n, P) chunks, each a new array that the caller
+    may keep.  Row j of a chunk is an instant's condensed distance vector:
+    the P = m(m-1)/2 distances of the pairs i < j in the order of
+    ``scipy.spatial.distance.pdist``, equal to the entries of
+    :func:`pairwise_distances` above the diagonal.  The positions of a chunk
+    are checked to be finite before its distances are computed."""
     m = positions.shape[1]
-    size = max(1, _CHUNK_BYTES // (8 * m * m))
+    pairs = m * (m - 1) // 2
+    size = max(1, _CHUNK_BYTES // (8 * max(pairs, 1)))
+    if m < _PDIST_MIN_AGENTS:
+        first, second = np.triu_indices(m, 1)
     for start in range(0, len(positions), size):
         chunk = positions[start:start + size]
         _require_finite(chunk)
-        distances = np.empty((len(chunk), m, m))
-        for x, out in zip(chunk, distances):
-            pairwise_distances(x, out=out)
+        if m >= _PDIST_MIN_AGENTS:
+            distances = np.empty((len(chunk), pairs))
+            for x, out in zip(chunk, distances):
+                pdist(x, out=out)
+        else:
+            # sqrt((x_i - x_j)^2 + (y_i - y_j)^2), the arithmetic of pdist and
+            # cdist, which overflows to inf without a warning as they do
+            with np.errstate(over="ignore"):
+                step = np.take(chunk, first, axis=1)
+                step -= np.take(chunk, second, axis=1)
+                step *= step
+                distances = np.add(step[..., 0], step[..., 1])
+            np.sqrt(distances, out=distances)
         yield distances
 
 
@@ -164,59 +185,62 @@ class GraphSweep:
 
     Neighbor relations change only at sampling instants, and between most
     consecutive instants they do not change at all.  The sweep computes one
-    distance matrix per instant and the strict-``<`` adjacency, a chunk of
-    instants at a time (see :meth:`runs`); while the adjacency equals the
-    previous instant's, it keeps the previous :class:`ProximityGraph`
-    object itself, so a caller that keeps quantities derived from a graph
-    reuses them while ``graph is previous``.  An adjacency that returns to
-    an earlier, non-adjacent instant's gets a new object.
+    condensed distance vector per instant (see :func:`_distance_chunks`)
+    and compares its strict-``<`` pairs with the current graph's, a chunk of
+    instants at a time (see :meth:`runs`); while they are equal, it keeps
+    the previous :class:`ProximityGraph` object itself, so a caller that
+    keeps quantities derived from a graph reuses them while ``graph is
+    previous``.  Only a changed graph gets an m x m adjacency.  An adjacency
+    that returns to an earlier, non-adjacent instant's gets a new object.
     """
 
     def __init__(self, radius: float, self_inclusive: bool = True):
         self.radius = _checked_radius(radius)
         self.self_inclusive = self_inclusive
         self.graph: ProximityGraph | None = None  # the graph of the last instant taken
-        self.distances: np.ndarray | None = None  # pairwise distances of the last advance()
+        self._pairs: np.ndarray | None = None  # the condensed adjacency of ``graph``
+        self.distances: np.ndarray | None = None  # condensed distances of the last advance()
 
     def runs(self, positions: np.ndarray):
         """Yields the next instants, whose agent positions are the (N, m, 2)
         ``positions``, in order, as runs of consecutive instants on one
-        graph: (graph, distances), ``distances`` the (n, m, m) pairwise
-        distance matrices of the run's instants.
+        graph: (graph, distances), ``distances`` the (n, P) condensed
+        pairwise distances of the run's instants, P = m(m-1)/2 in the pair
+        order of ``scipy.spatial.distance.pdist``.
 
         A run ends at a graph change or at the end of a chunk, so two runs
         in a row may share a graph.  Each chunk's positions are checked to
-        be finite, and its adjacencies are compared with the current graph
-        in one operation.  The sweep does not read or write a chunk's
-        distances once it has yielded them, nor its adjacencies, of which a
-        new graph keeps a view.  The sweep takes a run's graph
-        as its own only when it yields that run: a caller that stops
-        consuming leaves the sweep at the graph of the last instant it took.
+        be finite, and its pairs within the radius are compared with the
+        current graph's in one operation.  The sweep does not read or write
+        a chunk's distances once it has yielded them.  The sweep takes a
+        run's graph as its own only when it yields that run: a caller that
+        stops consuming leaves the sweep at the graph of the last instant
+        it took.
         """
         positions = np.asarray(positions, dtype=float)
         if positions.ndim == 3 and not len(positions):
             return  # no instants
-        positions = _shaped_positions(positions, ndim=3)
-        m = positions.shape[1]
-        for distances in _distance_chunks(positions):
+        for distances in _distance_chunks(_shaped_positions(positions, ndim=3)):
             n = len(distances)
             chunk = distances < self.radius
-            chunk.reshape(n, m * m)[:, ::m + 1] = self.self_inclusive
             start = 0
             while start < n:
-                if self.graph is None or not np.array_equal(chunk[start], self.graph.adjacency):
-                    self.graph = _graph(chunk[start], self.radius, self.self_inclusive)
+                if self.graph is None or not np.array_equal(chunk[start], self._pairs):
+                    self._pairs = chunk[start]
+                    adjacency = squareform(self._pairs, checks=False)
+                    np.fill_diagonal(adjacency, self.self_inclusive)
+                    self.graph = _graph(adjacency, self.radius, self.self_inclusive)
                 stop = start + 1
                 if stop < n:
-                    changed = np.flatnonzero((chunk[stop:] != self.graph.adjacency).any(axis=(1, 2)))
+                    changed = np.flatnonzero((chunk[stop:] != self._pairs).any(axis=1))
                     stop = stop + int(changed[0]) if len(changed) else n
                 yield self.graph, distances[start:stop]
                 start = stop
 
     def advance(self, positions: np.ndarray) -> ProximityGraph:
         """The graph of ``positions``, the next instant's agent positions: the
-        one-instant case of :meth:`runs`.  Its distance matrix is left in
-        :attr:`distances`."""
+        one-instant case of :meth:`runs`.  Its condensed distances are left
+        in :attr:`distances`."""
         graph, distances = next(self.runs(_shaped_positions(positions)[None]))
         self.distances = distances[0]
         return graph

@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import ModelParams, SwarmState, Trajectory
-from .graphs import (GraphSweep, ProximityGraph, _distance_chunks, averaging_matrix,
-                     averaging_rows, connectivity, graph_from_distances, leader_fractions,
-                     pairwise_distances, ring_sets)
-from .graphs import build_graph  # noqa: F401  (a layer boundary that perfbench/tracing.py wraps)
+from .graphs import (GraphSweep, ProximityGraph, _distance_chunks, averaging_rows,
+                     connectivity, graph_from_distances, leader_fractions, pairwise_distances,
+                     ring_sets)
+# layer boundaries that perfbench/tracing.py wraps
+from .graphs import averaging_matrix, build_graph  # noqa: F401
 
 PASS, SKIP, FAIL, REPORT = "PASS", "SKIP", "FAIL", "REPORT"
 
@@ -42,35 +43,33 @@ class MetricsBaseline:
 
     state: SwarmState
     graph: ProximityGraph
-    distances: np.ndarray  # pairwise distances at k = 0
-    averaging: np.ndarray  # P(0)
+    distances: np.ndarray  # condensed pairwise distances at k = 0 (see GraphSweep.runs)
     alphas: np.ndarray  # alpha_i(0)
 
 
 def metrics_baseline(initial: SwarmState, params: ModelParams) -> MetricsBaseline:
     """Computes the k = 0 quantities once per run."""
-    distances = pairwise_distances(initial.positions)
-    graph = graph_from_distances(distances, params.r_n, params.self_inclusive)
+    sweep = GraphSweep(params.r_n, params.self_inclusive)
+    graph = sweep.advance(initial.positions)
     # without leaders every alpha_i is 0; the k = 0 graph then keeps no float adjacency
     alphas = (leader_fractions(graph, initial.leader_mask)[0] if initial.leader_mask.any()
               else np.zeros(graph.node_count))
-    return MetricsBaseline(state=initial, graph=graph, distances=distances,
-                           averaging=averaging_matrix(graph), alphas=alphas)
+    return MetricsBaseline(state=initial, graph=graph, distances=sweep.distances, alphas=alphas)
 
 
 def step_metrics(state: SwarmState, baseline: MetricsBaseline,
                  reference_heading: float = float("nan"),
                  reference_speed: float = float("nan")) -> StepMetrics:
     """Metrics of ``state``, whose neighbor graph is built from the same
-    distance matrix that gives the distance drift."""
+    distances that give the distance drift."""
     if state.n_agents != baseline.state.n_agents:
         raise ValueError("state and initial must have the same agent count")
     columns = _sync_columns(state.headings[None], state.speeds[None],
                             np.array([reference_heading]), np.array([reference_speed]))
     delta_theta, delta_v, tracking_theta, tracking_v = (float(c[0]) for c in columns)
-    distances = pairwise_distances(state.positions)
-    initial_graph = baseline.graph
-    graph = graph_from_distances(distances, initial_graph.radius, initial_graph.self_inclusive)
+    sweep = GraphSweep(baseline.graph.radius, baseline.graph.self_inclusive)
+    graph = sweep.advance(state.positions)
+    distances = sweep.distances
     drift = float(_max_abs_difference(distances, baseline.distances, out=distances))
     alpha_drift = 0.0
     if state.leader_mask.any():
@@ -96,20 +95,20 @@ def _sync_columns(headings: np.ndarray, speeds: np.ndarray, reference_headings: 
 
 
 def _max_abs_difference(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """max |a - b| over the last two axes, one value per leading index,
-    taken in ``out``, which may be ``a`` or ``b``: fresh m x m temporaries
-    cost more than the arithmetic."""
+    """max |a - b| over the last axis, the pairs of condensed distances, one
+    value per leading index, taken in ``out``, which may be ``a`` or ``b``:
+    fresh temporaries cost more than the arithmetic.  0 without pairs."""
     np.subtract(a, b, out=out)
-    return np.abs(out, out=out).max(axis=(-2, -1))
+    return np.abs(out, out=out).max(axis=-1, initial=0.0)
 
 
 def _distance_steps(distances: np.ndarray,
                     last: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """max |Delta(t_j) - Delta(t_{j-1})| for the instants j of the (n, m, m)
-    chunk ``distances`` of successive distance matrices, and the (n, m, m)
+    """max |Delta(t_j) - Delta(t_{j-1})| for the instants j of the (n, P)
+    chunk ``distances`` of successive condensed distances, and the (n, P)
     scratch array they were taken in.  ``last`` is the chunk before, or None
     at the first instant, which then has no value.  Once the step to the
-    first instant is taken, ``last`` is scratch space: its matrices are
+    first instant is taken, ``last`` is scratch space: its rows are
     overwritten when there are enough of them, as a fresh array would add
     one more to the memory that each step reads."""
     n = len(distances)
@@ -118,17 +117,19 @@ def _distance_steps(distances: np.ndarray,
         np.subtract(distances[0], last[-1], out=out[0])
     np.subtract(distances[1:], distances[:-1], out=out[1:])
     taken = out if last is not None else out[1:]
-    return np.abs(taken, out=taken).max(axis=(-2, -1)), out
+    return np.abs(taken, out=taken).max(axis=-1, initial=0.0), out
 
 
 def _p_deviation(graph: ProximityGraph, baseline: MetricsBaseline) -> float:
     """||P(t_k) - P(0)||.  Row i of P depends only on the neighbor set of agent
     i, so the difference is zero outside the rows whose neighbor set changed
     since k = 0."""
-    changed = np.where((graph.adjacency != baseline.graph.adjacency).any(axis=1))[0]
+    initial = baseline.graph
+    changed = np.where((graph.adjacency != initial.adjacency).any(axis=1))[0]
     if not len(changed):
         return 0.0
-    return float(np.linalg.norm(averaging_rows(graph, changed) - baseline.averaging[changed], 2))
+    rows = averaging_rows(graph, changed) - averaging_rows(initial, changed)
+    return float(np.linalg.norm(rows, 2))
 
 
 def _leader_terms(graph: ProximityGraph, leader_mask: np.ndarray,
@@ -350,7 +351,7 @@ class RunPass:
     computed in the simulation's own pass over the sampling instants.
 
     Give :meth:`observe` to :func:`run_epoch` as its ``observer``: it then
-    sees each instant's graph and distance matrix once, in runs of instants
+    sees each instant's graph and condensed distances once, in runs of instants
     on one graph, and computes the terms of a graph only when the graph
     object differs from the previous run's (see :class:`GraphSweep`).  After
     the run, :meth:`step_metrics`, :meth:`recursion_audit` and
@@ -372,9 +373,9 @@ class RunPass:
 
     def observe(self, graph: ProximityGraph, distances: np.ndarray) -> None:
         """Takes the next n instants, which share ``graph``, with their
-        (n, m, m) pairwise distance matrices, and keeps the matrices as
-        scratch space for the next call.  Per-instant terms are taken as
-        reductions over the n matrices; those of the graph once."""
+        (n, P) condensed pairwise distances, and keeps them as scratch space
+        for the next call.  Per-instant terms are taken as reductions over
+        the pairs; those of the graph once."""
         k, n = len(self._drift), len(distances)
         steps, scratch = _distance_steps(distances, self._last)
         self._distance_change += steps.tolist()

@@ -5,7 +5,7 @@ import pytest
 
 from uniswarm import (LEADER_CONSTANT, LEADER_DYNAMIC, LEADERLESS, ConvexityError, GraphSweep,
                       ModelParams, ReferenceSchedule, closed_form_displacement, connectivity,
-                      run_epoch, sample_initial)
+                      pairwise_distances, run_epoch, sample_initial)
 from uniswarm import dynamics, graphs
 
 
@@ -31,6 +31,7 @@ def _oracle_run_epoch(state, params, steps, controller=LEADERLESS, schedule=None
     positions[0], headings[0], speeds[0] = current.positions, current.headings, current.speeds
     mask = state.leader_mask
     sweep = GraphSweep(params.r_n, params.self_inclusive)
+    pairs = np.triu_indices(m, 1)
     graph = None
     for k in range(steps + 1):
         previous, graph = graph, sweep.advance(current.positions)
@@ -38,7 +39,7 @@ def _oracle_run_epoch(state, params, steps, controller=LEADERLESS, schedule=None
             is_connected = connectivity(graph)
         connected[k] = is_connected
         if observer is not None:
-            observer(graph, sweep.distances[None])
+            observer(graph, pairwise_distances(current.positions)[pairs][None])
         if k == steps:
             break
         new_h = _oracle_average(current.headings, graph)
@@ -91,18 +92,18 @@ class _LoggedSchedule(ReferenceSchedule):
 
 def _instant_log():
     """An observer that keeps a copy of what it sees at each instant: it
-    unrolls the (n, m, m) distances of a run of instants on one graph."""
+    unrolls the (n, P) condensed distances of a run of instants on one graph."""
     seen = []
 
     def observe(graph, distances):
-        assert distances.ndim == 3 and len(distances) >= 1
+        assert distances.ndim == 2 and len(distances) >= 1
         seen.extend((graph, graph.adjacency.copy(), d.copy()) for d in distances)
     return seen, observe
 
 
 def _chunk_bytes(m, instants):
     """A chunk budget that makes a sweep's chunks hold ``instants`` instants of m agents."""
-    return instants * 8 * m * m
+    return instants * 8 * (m * (m - 1) // 2)
 
 
 def _run_both(params, steps, seed, controller=LEADERLESS, headings=None, epsilon=0.5,

@@ -274,7 +274,7 @@ def test_graph_sweep_reuses_the_unchanged_graph():
     pos = np.array([[0.0, 0.0], [0.2, 0.0], [0.5, 0.0]])
     sweep = GraphSweep(0.3)
     first = sweep.advance(pos)
-    assert np.array_equal(sweep.distances, pairwise_distances(pos))
+    assert np.array_equal(sweep.distances, pairwise_distances(pos)[np.triu_indices(3, 1)])
     assert sweep.advance(pos + 0.01) is first  # same neighbor sets
     moved = pos.copy()
     moved[2, 0] = 0.45  # 2 joins 1: B
@@ -317,7 +317,7 @@ def test_graph_sweep_runs_match_per_instant_advance(monkeypatch, instants, self_
     steps = np.cumsum(rng.normal(scale=0.03, size=(60, 20, 2)), axis=0)
     positions = rng.random((20, 2)) + steps
     if instants is not None:
-        monkeypatch.setattr(graphs, "_CHUNK_BYTES", instants * 8 * 20 * 20)
+        monkeypatch.setattr(graphs, "_CHUNK_BYTES", instants * 8 * (20 * 19 // 2))
     want_sweep = GraphSweep(0.3, self_inclusive)
     want = [(want_sweep.advance(x), want_sweep.distances.copy()) for x in positions]
     sweep = GraphSweep(0.3, self_inclusive)
@@ -335,7 +335,7 @@ def test_graph_sweep_runs_match_per_instant_advance(monkeypatch, instants, self_
 
 
 def test_graph_sweep_runs_check_each_chunk_for_finite_positions(monkeypatch):
-    monkeypatch.setattr(graphs, "_CHUNK_BYTES", 4 * 8 * 3 * 3)  # 4 instants per chunk
+    monkeypatch.setattr(graphs, "_CHUNK_BYTES", 4 * 8 * 3)  # 4 instants of 3 pairs per chunk
     positions = np.tile(np.array([[0.0, 0.0], [0.2, 0.0], [0.5, 0.0]]), (10, 1, 1))
     positions[6, 1, 0] = np.nan
     sweep = GraphSweep(0.3)
@@ -347,3 +347,58 @@ def test_graph_sweep_runs_check_each_chunk_for_finite_positions(monkeypatch):
     assert sweep.graph is graph
     with pytest.raises(ValueError, match=r"shape \(n, m, 2\)"):
         next(GraphSweep(0.3).runs(np.zeros((2, 3, 3))))
+
+
+# --- condensed distances -------------------------------------------------------
+
+@st.composite
+def _swarm_instants(draw):
+    """(n, m, 2) positions of a few instants: m up to 130, on both sides of the
+    pdist threshold, coordinates of either sign at one magnitude from 1e-300
+    to 1e300, and some agents on top of others."""
+    m = draw(st.one_of(st.sampled_from([1, 2, 63, 64]), st.integers(1, 130)))
+    n = draw(st.integers(1, 4))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    positions = rng.uniform(-1.0, 1.0, (n, m, 2)) * scale
+    for k, i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1),
+                                           st.integers(0, m - 1)), max_size=4)):
+        positions[k, i] = positions[k, j]
+    return positions
+
+
+@given(_swarm_instants(), st.sampled_from([1, 2, 3, None]), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_distance_chunks_and_sweep_match_the_dense_matrices(positions, instants, self_inclusive):
+    n, m, _ = positions.shape
+    pairs = np.triu_indices(m, 1)
+    # a radius equal to one pair's distance, which is then not an edge
+    distance = pairwise_distances(positions[0])[0, -1]
+    radius = float(distance) if 0 < distance < np.inf else 1.0
+    with pytest.MonkeyPatch.context() as mp:
+        if instants is not None:
+            mp.setattr(graphs, "_CHUNK_BYTES", instants * 8 * max(len(pairs[0]), 1))
+        chunks = list(graphs._distance_chunks(positions))
+        runs = list(GraphSweep(radius, self_inclusive).runs(positions))
+    sizes = [len(c) for c in chunks]
+    assert sum(sizes) == n
+    if instants is not None:
+        assert sizes == [min(instants, n - k) for k in range(0, n, instants)]
+    for x, d in zip(positions, np.concatenate(chunks)):
+        assert np.array_equal(d, pairwise_distances(x)[pairs])
+    graphs_seen = [graph for graph, distances in runs for _ in distances]
+    assert len(graphs_seen) == n
+    for x, graph in zip(positions, graphs_seen):
+        want = build_graph(x, radius, self_inclusive)
+        assert np.array_equal(graph.adjacency, want.adjacency)
+        assert np.array_equal(graph.degrees, want.degrees)
+
+
+def test_sweep_pair_at_exactly_the_radius_is_no_edge():
+    positions = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
+    sweep = GraphSweep(5.0)
+    graph = sweep.advance(positions)
+    assert sweep.distances[0] == 5.0  # the pair (0, 1)
+    assert not graph.adjacency[0, 1] and not graph.adjacency[1, 0]
+    assert graph.adjacency[0, 2] and graph.adjacency[1, 2]
+    assert np.array_equal(graph.adjacency, build_graph(positions, 5.0).adjacency)

@@ -8,7 +8,7 @@ from uniswarm import (ModelParams, ReferenceSchedule, RunConfig, RunPass, build_
                       connectivity, geometric_envelope_audit, metrics_baseline, recursion_audit,
                       ring_containment_check, run, run_epoch, sample_initial, step_metrics,
                       sync_detect)
-from uniswarm import graphs
+from uniswarm import graphs, load_trajectory, metrics
 from uniswarm.dynamics import LEADER_CONSTANT, LEADER_DYNAMIC, LEADERLESS, SwarmState
 from uniswarm.graphs import (averaging_matrix, averaging_rows, graph_from_distances,
                              leader_fractions, pairwise_distances)
@@ -416,7 +416,8 @@ def test_write_metrics_csv(tmp_path):
 def _oracle_step_metrics(state, baseline, reference_heading=float("nan"),
                          reference_speed=float("nan")):
     """step_metrics as run() called it once per instant before the pass was
-    fused into the simulation: one distance matrix and graph per call."""
+    fused into the simulation: one distance matrix and graph per call, and
+    the k = 0 matrices recomputed from the baseline's state."""
     headings, speeds = state.headings, state.speeds
     delta_theta = float(headings.max() - headings.min())
     delta_v = float(speeds.max() - speeds.min())
@@ -424,16 +425,18 @@ def _oracle_step_metrics(state, baseline, reference_heading=float("nan"),
         if np.isfinite(reference_heading) else float("nan")
     tracking_v = float(np.abs(speeds - reference_speed).max()) \
         if np.isfinite(reference_speed) else float("nan")
+    radius, self_inclusive = baseline.graph.radius, baseline.graph.self_inclusive
+    initial_distances = pairwise_distances(baseline.state.positions)
+    initial_graph = graph_from_distances(initial_distances, radius, self_inclusive)
     distances = pairwise_distances(state.positions)
-    initial_graph = baseline.graph
-    graph = graph_from_distances(distances, initial_graph.radius, initial_graph.self_inclusive)
-    distances -= baseline.distances
+    graph = graph_from_distances(distances, radius, self_inclusive)
+    distances -= initial_distances
     drift = float(np.abs(distances, out=distances).max())
     changed = np.where((graph.adjacency != initial_graph.adjacency).any(axis=1))[0]
     p_dev = 0.0
     if len(changed):
         p_dev = float(np.linalg.norm(averaging_rows(graph, changed)
-                                     - baseline.averaging[changed], 2))
+                                     - averaging_matrix(initial_graph)[changed], 2))
     alpha_drift = 0.0
     if state.leader_mask.any():
         alphas, _ = leader_fractions(graph, state.leader_mask)
@@ -551,6 +554,26 @@ def test_run_pass_single_agent():
     assert result.sync_index == 0
     assert all(r.max_distance_drift == 0.0 and r.p_deviation == 0.0 for r in result.metrics)
     assert result.recursion.fail_count == 0
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_drift_and_distance_change_without_pairs_and_with_one_pair(tmp_path, m):
+    """One agent has no pair of agents (P = 0), two have one: run(), RunPass
+    and recursion_audit, in memory and from disk, take drift and distance
+    change from the one distance written out, and 0.0 without it."""
+    result = _run(ModelParams(n=m, r_n=0.3, v_n=0.4, tau_n=0.02), 50, 1, outputs=str(tmp_path))
+    traj = result.trajectory
+    distance = np.zeros(traj.n_steps + 1)
+    if m == 2:
+        dx, dy = (traj.positions[:, 0] - traj.positions[:, 1]).T
+        distance = np.sqrt(dx * dx + dy * dy)
+    assert [r.max_distance_drift for r in result.metrics] == np.abs(distance - distance[0]).tolist()
+    change = np.abs(np.diff(distance))
+    assert change.max() > 0.0 if m == 2 else (change == 0.0).all()
+    want = metrics._recursion_audit(traj, 16, lambda: change).slacks
+    for slacks in (result.recursion.slacks, recursion_audit(traj).slacks,
+                   recursion_audit(load_trajectory(tmp_path)).slacks):
+        assert np.array_equal(slacks, want)
 
 
 def test_run_pass_envelope_pass_matches_oracle():
