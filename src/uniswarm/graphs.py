@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
 
 
 class SpectralError(RuntimeError):
@@ -80,6 +79,8 @@ class RingSet:
 def pairwise_distances(positions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The (m, m) Euclidean distances of the (m, 2) positions, written to
     ``out`` when given."""
+    from scipy.spatial.distance import cdist
+
     positions = np.asarray(positions, dtype=float)
     return cdist(positions, positions, out=out)
 
@@ -114,7 +115,9 @@ def _checked_positions(positions: np.ndarray) -> np.ndarray:
 _CHUNK_BYTES = 256 * 1024
 
 # Below this many agents, the fixed cost of a pdist call outweighs its
-# arithmetic, and one numpy pass over the whole chunk is faster.
+# arithmetic, and one numpy pass over the whole chunk is faster.  Only from
+# this size on is scipy.spatial imported, which takes about half a second
+# in a fresh interpreter on a 2-vCPU host.
 _PDIST_MIN_AGENTS = 64
 
 
@@ -129,7 +132,9 @@ def _distance_chunks(positions: np.ndarray):
     m = positions.shape[1]
     pairs = m * (m - 1) // 2
     size = max(1, _CHUNK_BYTES // (8 * max(pairs, 1)))
-    if m < _PDIST_MIN_AGENTS:
+    if m >= _PDIST_MIN_AGENTS:
+        from scipy.spatial.distance import pdist
+    else:
         first, second = np.triu_indices(m, 1)
     for start in range(0, len(positions), size):
         chunk = positions[start:start + size]
@@ -200,6 +205,23 @@ class GraphSweep:
         self.graph: ProximityGraph | None = None  # the graph of the last instant taken
         self._pairs: np.ndarray | None = None  # the condensed adjacency of ``graph``
         self.distances: np.ndarray | None = None  # condensed distances of the last advance()
+        # per agent count m: the flat indices i*m + j and j*m + i of the pairs i < j
+        self._scatter: tuple[int, np.ndarray, np.ndarray] | None = None
+
+    def _adjacency(self, pairs: np.ndarray, m: int) -> np.ndarray:
+        """The m x m adjacency of the condensed ``pairs``, the diagonal set to
+        ``self_inclusive``: the pairs scattered into both triangles, the same
+        matrix as ``scipy.spatial.distance.squareform`` gives."""
+        if self._scatter is None or self._scatter[0] != m:
+            first, second = np.triu_indices(m, 1)
+            self._scatter = (m, first * m + second, second * m + first)
+        _, upper, lower = self._scatter
+        adjacency = np.zeros((m, m), dtype=bool)
+        flat = adjacency.reshape(-1)
+        flat[upper] = pairs
+        flat[lower] = pairs
+        np.fill_diagonal(adjacency, self.self_inclusive)
+        return adjacency
 
     def runs(self, positions: np.ndarray):
         """Yields the next instants, whose agent positions are the (N, m, 2)
@@ -227,8 +249,7 @@ class GraphSweep:
             while start < n:
                 if self.graph is None or not np.array_equal(chunk[start], self._pairs):
                     self._pairs = chunk[start]
-                    adjacency = squareform(self._pairs, checks=False)
-                    np.fill_diagonal(adjacency, self.self_inclusive)
+                    adjacency = self._adjacency(self._pairs, positions.shape[1])
                     self.graph = _graph(adjacency, self.radius, self.self_inclusive)
                 stop = start + 1
                 if stop < n:

@@ -17,7 +17,7 @@ import numpy as np
 from .dynamics import (CONTROLLERS, LEADER_CONSTANT, LEADER_DYNAMIC, LEADERLESS,
                        ModelParams, Trajectory, run_epoch, sample_initial)
 from .metrics import (FAIL, EnvelopeAuditReport, RecursionAuditReport, RunPass, StepMetrics,
-                      metrics_baseline, write_metrics_csv)
+                      write_metrics_csv)
 # layer boundaries that perfbench/tracing.py wraps; run() computes their
 # results in its one pass over the instants
 from .graphs import build_graph  # noqa: F401
@@ -164,7 +164,7 @@ def run(config: RunConfig, out_dir: str | Path | None = None) -> RunResult:
     state = sample_initial(params, config.seed)
     schedule = config.schedule.copy() if config.schedule is not None else None
 
-    instants = RunPass(metrics_baseline(state, params))
+    instants = RunPass(state)
     traj = run_epoch(state, params, config.steps, controller=config.mode,
                      schedule=schedule, reference_heading=config.reference_heading,
                      integration_check=config.audit_level, observer=instants.observe)

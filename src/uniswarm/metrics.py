@@ -50,11 +50,16 @@ class MetricsBaseline:
 def metrics_baseline(initial: SwarmState, params: ModelParams) -> MetricsBaseline:
     """Computes the k = 0 quantities once per run."""
     sweep = GraphSweep(params.r_n, params.self_inclusive)
-    graph = sweep.advance(initial.positions)
+    return _baseline(initial, sweep.advance(initial.positions), sweep.distances)
+
+
+def _baseline(initial: SwarmState, graph: ProximityGraph,
+              distances: np.ndarray) -> MetricsBaseline:
+    """The baseline of ``initial`` from its graph and condensed distances."""
     # without leaders every alpha_i is 0; the k = 0 graph then keeps no float adjacency
     alphas = (leader_fractions(graph, initial.leader_mask)[0] if initial.leader_mask.any()
               else np.zeros(graph.node_count))
-    return MetricsBaseline(state=initial, graph=graph, distances=sweep.distances, alphas=alphas)
+    return MetricsBaseline(state=initial, graph=graph, distances=distances, alphas=alphas)
 
 
 def step_metrics(state: SwarmState, baseline: MetricsBaseline,
@@ -350,17 +355,20 @@ class RunPass:
     """The distance- and graph-derived metrics and audit terms of one run,
     computed in the simulation's own pass over the sampling instants.
 
-    Give :meth:`observe` to :func:`run_epoch` as its ``observer``: it then
-    sees each instant's graph and condensed distances once, in runs of instants
-    on one graph, and computes the terms of a graph only when the graph
-    object differs from the previous run's (see :class:`GraphSweep`).  After
-    the run, :meth:`step_metrics`, :meth:`recursion_audit` and
-    :meth:`geometric_envelope_audit` give what the public functions of the
-    same names give on the trajectory.
+    Give :meth:`observe` to :func:`run_epoch` of the state ``initial`` as
+    its ``observer``: it then sees each instant's graph and condensed
+    distances once, in runs of instants on one graph, and computes the terms
+    of a graph only when the graph object differs from the previous run's
+    (see :class:`GraphSweep`).  The first call's first instant is k = 0,
+    whose graph and distances make :attr:`baseline`, so they are computed
+    once per run.  After the run, :meth:`step_metrics`,
+    :meth:`recursion_audit` and :meth:`geometric_envelope_audit` give what
+    the public functions of the same names give on the trajectory.
     """
 
-    def __init__(self, baseline: MetricsBaseline):
-        self.baseline = baseline
+    def __init__(self, initial: SwarmState):
+        self.initial = initial
+        self.baseline: MetricsBaseline | None = None  # set by the first observe()
         self.graph_changes = 0  # instants whose graph differs from the previous instant's
         self._drift: list[float] = []  # max |Delta(t_k) - Delta(0)|
         self._distance_change: list[float] = []  # max |Delta(t_{k+1}) - Delta(t_k)|
@@ -376,6 +384,9 @@ class RunPass:
         (n, P) condensed pairwise distances, and keeps them as scratch space
         for the next call.  Per-instant terms are taken as reductions over
         the pairs; those of the graph once."""
+        if self.baseline is None:
+            # a copy, as the rows of this run become scratch space
+            self.baseline = _baseline(self.initial, graph, distances[0].copy())
         k, n = len(self._drift), len(distances)
         steps, scratch = _distance_steps(distances, self._last)
         self._distance_change += steps.tolist()

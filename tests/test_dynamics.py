@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uniswarm import (LEADER_DYNAMIC, LEADERLESS, ModelParams, advance_positions,
-                      build_graph, closed_form_displacement, interpolate,
+                      build_graph, closed_form_displacement, dynamics, interpolate,
                       leader_discrete_step, leaderless_discrete_step, run_epoch,
                       sample_initial, trajectory_controls)
 from uniswarm.dynamics import SwarmState, integrate_position_oracle
@@ -184,6 +184,44 @@ def test_displacement_zero_speed():
 def test_oracle_exact_sine_case():
     dx, _ = integrate_position_oracle(1.0, 0.0, 0.0, 1.0, math.pi)
     assert dx == pytest.approx(0.0, abs=1e-12)
+
+
+def _quad_displacement(a, b, c, d, tau):
+    """The displacement integrals by scipy's adaptive quadrature."""
+    from scipy.integrate import quad
+
+    dx, _ = quad(lambda s: (a + b * s) * math.cos(c + d * s), 0.0, tau,
+                 epsabs=1e-12, epsrel=1e-13, limit=300)
+    dy, _ = quad(lambda s: (a + b * s) * math.sin(c + d * s), 0.0, tau,
+                 epsabs=1e-12, epsrel=1e-13, limit=300)
+    return dx, dy
+
+
+@given(st.floats(-1, 1), st.floats(-1, 1), st.floats(-4, 4), st.floats(1e-3, 0.1),
+       st.one_of(st.sampled_from([0.0, 1e-12]), st.floats(0, 60)), st.sampled_from([-1, 1]))
+@settings(max_examples=300, deadline=None)
+def test_oracle_matches_adaptive_quadrature(a, b, c, tau, phase, sign):
+    # the parameter ranges of criterion 6, with heading changes d*tau of up to 60 rad
+    d = sign * phase / tau
+    got, want = integrate_position_oracle(a, b, c, d, tau), _quad_displacement(a, b, c, d, tau)
+    assert abs(got[0] - want[0]) <= 1e-13 and abs(got[1] - want[1]) <= 1e-13
+
+
+def test_oracle_raises_when_its_two_orders_disagree(monkeypatch):
+    weights = dynamics._ORACLE_WEIGHTS.copy()
+    weights[:, 0] *= 1.0 + 1e-6  # the lower order's estimate, off by 1e-6 relative
+    monkeypatch.setattr(dynamics, "_ORACLE_WEIGHTS", weights)
+    integrate_position_oracle(0.01, 0.0, 0.3, 1.0, 0.01)  # off by 1e-10, below 1e-9
+    with pytest.raises(RuntimeError, match="quadrature tolerance not reached, residual="):
+        integrate_position_oracle(1.0, 0.5, 0.3, 1.0, 0.01)
+
+
+@pytest.mark.parametrize("d", [30_001.0, -1e9, math.inf, math.nan])
+def test_oracle_raises_past_the_panel_cap(d):
+    # more than 300 panels of at most 1 rad: |d * tau| > 300 rad, or not finite
+    with pytest.raises(RuntimeError, match="quadrature tolerance not reached: .* 300 panels"):
+        integrate_position_oracle(0.5, 0.1, 0.2, d, 0.01)
+    integrate_position_oracle(0.5, 0.1, 0.2, 29_999.0, 0.01)
 
 
 def test_closed_form_matches_oracle_random_draws():

@@ -402,3 +402,23 @@ def test_sweep_pair_at_exactly_the_radius_is_no_edge():
     assert not graph.adjacency[0, 1] and not graph.adjacency[1, 0]
     assert graph.adjacency[0, 2] and graph.adjacency[1, 2]
     assert np.array_equal(graph.adjacency, build_graph(positions, 5.0).adjacency)
+
+
+@pytest.mark.parametrize("self_inclusive", [True, False])
+def test_sweep_adjacency_equals_squareform_at_every_agent_count(self_inclusive):
+    """The sweep scatters a changed graph's condensed pairs into an m x m
+    adjacency with flat indices kept per agent count; one sweep goes through
+    every count, so the indices are rebuilt whenever m changes."""
+    from scipy.spatial.distance import squareform
+
+    sweep = GraphSweep(0.15, self_inclusive)
+    for m in (1, 2, 63, 64, 130, 500, 63):
+        positions = np.random.default_rng(m).random((m, 2))
+        graph = sweep.advance(positions)
+        want = squareform(sweep.distances < 0.15, checks=False)
+        np.fill_diagonal(want, self_inclusive)
+        assert graph.adjacency.dtype == bool
+        assert np.array_equal(graph.adjacency, want)
+        assert np.array_equal(graph.adjacency, graph.adjacency.T)
+        assert np.array_equal(graph.adjacency, build_graph(positions, 0.15, self_inclusive).adjacency)
+        assert np.array_equal(graph.degrees, want.sum(axis=1))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from uniswarm import (ConfigError, ModelParams, Obstacle, ReferenceSchedule, RunConfig,
-                      build_graph, campaign, load_trajectory, run, scenario_fig3)
+                      build_graph, campaign, graphs, load_trajectory, run, scenario_fig3)
 from uniswarm.dynamics import LEADER_CONSTANT, LEADER_DYNAMIC, Trajectory
 from uniswarm.harness import write_trajectory_csv
 
@@ -314,3 +314,24 @@ def test_write_trajectory_csv_matches_per_row_oracle(tmp_path_factory, traj):
     write_trajectory_csv(traj, out / "got.csv")
     trajectory_csv_oracle(traj, out / "want.csv")
     assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("params, steps", [
+    # the pdist kernel; a chunk holds one instant, so no block discards one
+    (ModelParams(n=500, r_n=0.15, v_n=0.05, tau_n=0.01), 100),
+    # the numpy kernel; one graph throughout, so no block ends early
+    (ModelParams(n=12, r_n=2.0, v_n=0.3, tau_n=0.01), 300),
+])
+def test_run_computes_each_instants_distances_once(monkeypatch, params, steps):
+    # instant 0's distances and graph serve the metrics baseline and the simulation
+    chunks = graphs._distance_chunks
+    instants = []
+
+    def counting(positions):
+        for chunk in chunks(positions):
+            instants.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(graphs, "_distance_chunks", counting)
+    run(RunConfig(params=params, steps=steps, seed=3))
+    assert sum(instants) == steps + 1

@@ -625,7 +625,7 @@ def test_run_pass_coincident_agents(self_inclusive):
                     self_inclusive=self_inclusive)
     state = sample_initial(p, 5)
     state.positions[1] = state.positions[2] = state.positions[0]
-    instants = RunPass(metrics_baseline(state, p))
+    instants = RunPass(state)
     traj = run_epoch(state, p, 40, controller=LEADER_CONSTANT, reference_heading=0.2,
                      observer=instants.observe)
     _assert_fused_matches_oracle(traj, instants.step_metrics(traj),
@@ -636,7 +636,7 @@ def test_run_pass_coincident_agents(self_inclusive):
 def test_run_pass_counts_graph_changes():
     p = ModelParams(n=12, r_n=0.25, v_n=0.5, tau_n=0.05)
     state = sample_initial(p, 4)
-    instants = RunPass(metrics_baseline(state, p))
+    instants = RunPass(state)
     traj = run_epoch(state, p, 30, observer=instants.observe)
     adj = [build_graph(x, p.r_n).adjacency for x in traj.positions]
     changes = sum(not np.array_equal(a, b) for a, b in zip(adj[1:], adj[:-1]))
