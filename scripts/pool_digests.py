@@ -5,10 +5,13 @@ Runs seeds 0-7 of three configs, one run at a time and each written to a
 fresh directory: the leaderless m=500 config, the fig3 scenario and the
 acceptance-criterion-8 leader campaign config (m=130, 1000 steps).  It
 prints one JSON object holding, per config and seed, the sha256 of
-``trajectory.csv``, ``metrics.csv``, ``audits.json`` and ``run_meta.json``
-(the last without its ``wallclock`` entry), and the re-audit's recursion
-slacks (sha256 of their bytes) and verdicts, once from the files on disk
-and once from the trajectory in memory.
+``trajectory.csv``, ``trajectory.npy``, ``metrics.csv``, ``audits.json`` and
+``run_meta.json`` (the last without its ``wallclock`` entry), and the
+re-audit's recursion slacks (sha256 of their bytes) and verdicts three
+times: from the files on disk (``reaudit_disk``, which reads
+``trajectory.npy``), from a copy of the directory without
+``trajectory.npy`` (``reaudit_csv``, which parses ``trajectory.csv``) and
+from the trajectory in memory (``reaudit_memory``).
 
 Run it on two checkouts and diff the output:
 
@@ -21,6 +24,7 @@ thread.
 import hashlib
 import json
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -36,7 +40,7 @@ from uniswarm import (LEADER_CONSTANT, ModelParams, RunConfig, geometric_envelop
                       load_trajectory, recursion_audit, run, scenario_fig3)
 
 SEEDS = range(8)
-FILES = ("trajectory.csv", "metrics.csv", "audits.json")
+FILES = ("trajectory.csv", "trajectory.npy", "metrics.csv", "audits.json")
 
 
 def _m500(seed: int) -> RunConfig:
@@ -73,6 +77,9 @@ def digests(config: RunConfig, out: Path) -> dict:
     del meta["wallclock"]
     record["run_meta.json"] = _sha256(json.dumps(meta, indent=1).encode())
     record["reaudit_disk"] = _reaudit(load_trajectory(out), config.substeps)
+    csv_only = out.with_name(out.name + "_csv")
+    shutil.copytree(out, csv_only, ignore=shutil.ignore_patterns("trajectory.npy"))
+    record["reaudit_csv"] = _reaudit(load_trajectory(csv_only), config.substeps)
     record["reaudit_memory"] = _reaudit(result.trajectory, config.substeps)
     return record
 

@@ -209,15 +209,34 @@ def run(config: RunConfig, out_dir: str | Path | None = None) -> RunResult:
 
 
 def write_run_outputs(result: RunResult, out_dir) -> dict:
+    """Writes ``trajectory.csv``, ``trajectory.npy``, ``metrics.csv``,
+    ``audits.json`` and ``run_meta.json`` into ``out_dir``; returns their paths.
+
+    ``trajectory.csv`` is the exact text export of the trajectory.
+    ``trajectory.npy`` holds the same values as one C-order float64 array of
+    shape (K+1, m, 4), columns x, y, theta and v, written by ``np.save``,
+    whose bytes are deterministic.  It caches the CSV's parse for
+    :func:`load_trajectory`.  The ``run_meta.json`` written is ``result.meta``
+    plus ``trajectory_sha256``, the sha256 of both files, which
+    :func:`load_trajectory` checks before it reads the cache.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
         "trajectory": out / "trajectory.csv",
+        "trajectory_npy": out / "trajectory.npy",
         "metrics": out / "metrics.csv",
         "audits": out / "audits.json",
         "meta": out / "run_meta.json",
     }
-    write_trajectory_csv(result.trajectory, paths["trajectory"])
+    traj = result.trajectory
+    digests = {"trajectory.csv": write_trajectory_csv(traj, paths["trajectory"])}
+    values = np.empty(traj.headings.shape + (4,))
+    values[..., :2] = traj.positions
+    values[..., 2] = traj.headings
+    values[..., 3] = traj.speeds
+    np.save(paths["trajectory_npy"], values)
+    digests["trajectory.npy"] = _file_sha256(paths["trajectory_npy"])
     write_metrics_csv(result.metrics, paths["metrics"])
     audits = {"schema_version": SCHEMA_VERSION}
     if result.recursion is not None:
@@ -227,7 +246,7 @@ def write_run_outputs(result: RunResult, out_dir) -> dict:
     with open(paths["audits"], "w") as fh:
         json.dump(audits, fh, indent=1)
     with open(paths["meta"], "w") as fh:
-        json.dump(result.meta, fh, indent=1)
+        json.dump({**result.meta, "trajectory_sha256": digests}, fh, indent=1)
     return paths
 
 
@@ -235,35 +254,108 @@ ROLE_LABELS = ("follower", "leader")
 TRAJECTORY_HEADER = "k,t,agent,role,x,y,theta,v"
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
+def _file_sha256(path) -> str:
+    """sha256 of the file at ``path``, read 1 MiB at a time."""
+    # not imported at module level: runs that write nothing never need it
+    import hashlib
+
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while piece := fh.read(1 << 20):
+            digest.update(piece)
+    return digest.hexdigest()
+
+
+def write_trajectory_csv(traj: Trajectory, path) -> str:
+    """Writes one row per (k, agent) and returns the sha256 of the file's bytes."""
+    import hashlib
+
     # one row template per agent; an instant's rows are formatted by a map
     # over the templates and the instant's values, converted one instant at
     # a time, and joined with the "k,t," prefix.  Small row strings and one
     # join keep the heap compact: one % call per instant grows its result
     # by reallocation, which at m=500 raised the peak RSS of repeated runs
-    # in one process by about 3 MB.
+    # in one process by about 3 MB.  Each instant's bytes are hashed as they
+    # are written, which costs less than reading the file back.
     rows = [f"{i},{ROLE_LABELS[int(x)]},%.17g,%.17g,%.17g,%.17g\n"
             for i, x in enumerate(traj.leader_mask)]
-    with open(path, "w", newline="") as fh:
-        fh.write(TRAJECTORY_HEADER + "\n")
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        data = (TRAJECTORY_HEADER + "\n").encode("ascii")
+        digest.update(data)
+        fh.write(data)
         for k, t in enumerate(traj.times.tolist()):
             prefix = f"{k},{t:.17g},"
             x, y = traj.positions[k].T.tolist()
             values = zip(x, y, traj.headings[k].tolist(), traj.speeds[k].tolist())
-            fh.write(prefix + prefix.join(map(str.__mod__, rows, values)))
+            data = (prefix + prefix.join(map(str.__mod__, rows, values))).encode("ascii")
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
 
 
 def load_trajectory(run_dir) -> Trajectory:
     """Rebuild a trajectory record from a stored run directory.
 
-    ``trajectory.csv`` must carry exactly the header ``write_trajectory_csv``
-    writes and one row per (k, agent) for k in 0..steps and agent in 0..m-1,
-    in any order; anything else raises ``ValueError``.
+    When ``run_meta.json`` holds ``trajectory_sha256`` and both
+    ``trajectory.csv`` and ``trajectory.npy`` still hash to it, the values
+    are read from ``trajectory.npy``, which must then be float64 of shape
+    (steps + 1, n + leader_count, 4) or ``ValueError`` is raised; the
+    leaders are the last ``leader_count`` agents, as ``sample_initial``
+    places them.  In every other case (no such key, no ``.npy``, either file
+    changed since it was written) ``trajectory.csv`` is parsed: it must carry
+    exactly the header ``write_trajectory_csv`` writes and one row per
+    (k, agent) for k in 0..steps and agent in 0..m-1, in any order; anything
+    else raises ``ValueError``.
     """
     run_dir = Path(run_dir)
     with open(run_dir / "run_meta.json") as fh:
         meta = json.load(fh)
     params = ModelParams(**meta["params"])
+    cached = _cached_values(run_dir, meta, params)
+    if cached is not None:
+        positions = np.ascontiguousarray(cached[..., :2])
+        headings = np.ascontiguousarray(cached[..., 2])
+        speeds = np.ascontiguousarray(cached[..., 3])
+        leader_mask = np.arange(params.total_count) >= params.n
+    else:
+        positions, headings, speeds, leader_mask = _parse_trajectory_csv(run_dir, meta)
+    n_instants = len(positions)
+
+    mode = meta.get("mode", LEADERLESS)
+    steps = n_instants - 1
+    refs = np.full(steps, np.nan)
+    if mode == LEADER_CONSTANT:
+        refs[:] = meta.get("reference_heading", 0.0)
+    # connectivity is not stored in trajectory.csv, and no audit reads it
+    connected = np.zeros(n_instants, dtype=bool)
+    return Trajectory(times=np.arange(n_instants) * params.tau_n, positions=positions,
+                      headings=headings, speeds=speeds, leader_mask=leader_mask,
+                      params=params, controller=mode, reference_headings=refs,
+                      reference_speed=params.v_n if mode != LEADERLESS else float("nan"),
+                      connected=connected, switch_log=meta.get("switch_log", []))
+
+
+def _cached_values(run_dir: Path, meta: dict, params: ModelParams) -> np.ndarray | None:
+    """The (K+1, m, 4) array of ``trajectory.npy`` when both trajectory files
+    match the digests in ``meta``, else None."""
+    digests = meta.get("trajectory_sha256")
+    npy = run_dir / "trajectory.npy"
+    if not isinstance(digests, dict) or not npy.is_file():
+        return None
+    if any(digests.get(name) != _file_sha256(run_dir / name)
+           for name in ("trajectory.csv", "trajectory.npy")):
+        return None
+    values = np.load(npy, allow_pickle=False)
+    shape = (int(meta["steps"]) + 1, params.total_count, 4)
+    if values.dtype != np.float64 or values.shape != shape:
+        raise ValueError(f"{npy}: {values.dtype} array of shape {values.shape}, "
+                         f"expected float64 of shape {shape}")
+    return values
+
+
+def _parse_trajectory_csv(run_dir: Path, meta: dict) -> tuple[np.ndarray, ...]:
+    """Positions, headings, speeds and the leader mask from ``trajectory.csv``."""
     path = run_dir / "trajectory.csv"
     with open(path) as fh:
         header = fh.readline().rstrip("\r\n")
@@ -298,19 +390,7 @@ def load_trajectory(run_dir) -> Trajectory:
         raise ValueError(f"{path}: role is not one of {ROLE_LABELS}")
     leader_mask = np.zeros(m, dtype=bool)
     leader_mask[agents[first]] = roles == "leader"
-
-    mode = meta.get("mode", LEADERLESS)
-    steps = n_instants - 1
-    refs = np.full(steps, np.nan)
-    if mode == LEADER_CONSTANT:
-        refs[:] = meta.get("reference_heading", 0.0)
-    # connectivity is not stored in trajectory.csv, and no audit reads it
-    connected = np.zeros(n_instants, dtype=bool)
-    return Trajectory(times=np.arange(n_instants) * params.tau_n, positions=positions,
-                      headings=headings, speeds=speeds, leader_mask=leader_mask,
-                      params=params, controller=mode, reference_headings=refs,
-                      reference_speed=params.v_n if mode != LEADERLESS else float("nan"),
-                      connected=connected, switch_log=meta.get("switch_log", []))
+    return positions, headings, speeds, leader_mask
 
 
 @dataclass

@@ -45,6 +45,9 @@ class MetricsBaseline:
     graph: ProximityGraph
     distances: np.ndarray  # condensed pairwise distances at k = 0 (see GraphSweep.runs)
     alphas: np.ndarray  # alpha_i(0)
+    # some agent's k = 0 neighborhood, the agent itself excluded, is empty;
+    # computed for leader runs only
+    empty_neighborhood: bool = False
 
 
 def metrics_baseline(initial: SwarmState, params: ModelParams) -> MetricsBaseline:
@@ -57,9 +60,12 @@ def _baseline(initial: SwarmState, graph: ProximityGraph,
               distances: np.ndarray) -> MetricsBaseline:
     """The baseline of ``initial`` from its graph and condensed distances."""
     # without leaders every alpha_i is 0; the k = 0 graph then keeps no float adjacency
-    alphas = (leader_fractions(graph, initial.leader_mask)[0] if initial.leader_mask.any()
-              else np.zeros(graph.node_count))
-    return MetricsBaseline(state=initial, graph=graph, distances=distances, alphas=alphas)
+    if not initial.leader_mask.any():
+        return MetricsBaseline(state=initial, graph=graph, distances=distances,
+                               alphas=np.zeros(graph.node_count))
+    alphas, empty = _initial_leader_terms(graph, initial.leader_mask)
+    return MetricsBaseline(state=initial, graph=graph, distances=distances, alphas=alphas,
+                           empty_neighborhood=empty)
 
 
 def step_metrics(state: SwarmState, baseline: MetricsBaseline,
@@ -137,6 +143,15 @@ def _p_deviation(graph: ProximityGraph, baseline: MetricsBaseline) -> float:
     return float(np.linalg.norm(rows, 2))
 
 
+def _initial_leader_terms(graph: ProximityGraph,
+                          leader_mask: np.ndarray) -> tuple[np.ndarray, bool]:
+    """alpha_i(0) on the k = 0 ``graph``, and whether some agent's
+    neighborhood, the agent itself excluded, is empty.  The alpha-drift of
+    that graph is 0, so :func:`_leader_terms` need not be taken on it."""
+    alphas, totals = leader_fractions(graph, leader_mask)
+    return alphas, bool((totals == 0).any())
+
+
 def _leader_terms(graph: ProximityGraph, leader_mask: np.ndarray,
                   initial_alphas: np.ndarray) -> tuple[float, bool]:
     """max_i |alpha_i - alpha_i(0)| on ``graph``, and whether some agent's
@@ -166,8 +181,10 @@ def _leader_shares(traj: Trajectory, params: ModelParams) -> tuple[np.ndarray, f
         if run_graph is not graph:
             graph = run_graph
             if initial is None:
-                initial, _ = leader_fractions(graph, mask)
-            drift, empty = _leader_terms(graph, mask, initial)
+                initial, empty = _initial_leader_terms(graph, mask)
+                drift = 0.0
+            else:
+                drift, empty = _leader_terms(graph, mask, initial)
             if empty:
                 return initial, mu, k
             mu = max(mu, drift)
@@ -396,10 +413,15 @@ class RunPass:
         if graph is not self._graph:
             self.graph_changes += self._graph is not None
             self._graph = graph
-            leader_mask = self.baseline.state.leader_mask
-            leader_terms = ((0.0, False) if not leader_mask.any()
-                            else _leader_terms(graph, leader_mask, self.baseline.alphas))
-            self._graph_terms = (_p_deviation(graph, self.baseline), *leader_terms)
+            baseline = self.baseline
+            leader_mask = baseline.state.leader_mask
+            if not leader_mask.any():
+                leader_terms = (0.0, False)
+            elif graph is baseline.graph:
+                leader_terms = (0.0, baseline.empty_neighborhood)
+            else:
+                leader_terms = _leader_terms(graph, leader_mask, baseline.alphas)
+            self._graph_terms = (_p_deviation(graph, baseline), *leader_terms)
         p_dev, alpha_drift, empty = self._graph_terms
         if empty and self._first_empty is None:
             self._first_empty = k

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from uniswarm import (ConfigError, ModelParams, Obstacle, ReferenceSchedule, RunConfig,
-                      build_graph, campaign, graphs, load_trajectory, run, scenario_fig3)
-from uniswarm.dynamics import LEADER_CONSTANT, LEADER_DYNAMIC, Trajectory
+                      build_graph, campaign, geometric_envelope_audit, graphs, harness,
+                      load_trajectory, recursion_audit, run, scenario_fig3)
+from uniswarm.cli import EXIT_CONFIG, main
+from uniswarm.dynamics import LEADER_CONSTANT, LEADER_DYNAMIC, LEADERLESS, Trajectory
 from uniswarm.harness import write_trajectory_csv
 
 from conftest import trajectory_csv_oracle
@@ -335,3 +338,141 @@ def test_run_computes_each_instants_distances_once(monkeypatch, params, steps):
     monkeypatch.setattr(graphs, "_distance_chunks", counting)
     run(RunConfig(params=params, steps=steps, seed=3))
     assert sum(instants) == steps + 1
+
+
+# --- trajectory.npy, the cache of trajectory.csv's parse --------------------
+
+TRAJECTORY_FIELDS = ("times", "positions", "headings", "speeds", "leader_mask",
+                     "reference_headings", "connected")
+
+
+@st.composite
+def _stored_configs(draw):
+    mode = draw(st.sampled_from([LEADERLESS, LEADER_CONSTANT, LEADER_DYNAMIC]))
+    n = draw(st.integers(2, 9))
+    alpha_n = 0.0 if mode == LEADERLESS else draw(st.sampled_from([0.2, 0.5]))
+    params = ModelParams(n=n, alpha_n=alpha_n, r_n=draw(st.sampled_from([0.2, 0.5, 2.0])),
+                         v_n=0.1, tau_n=0.02, vartheta=0.5)
+    schedule = (ReferenceSchedule(headings=[0.0, 1.0, -0.5], epsilon=0.2)
+                if mode == LEADER_DYNAMIC else None)
+    return RunConfig(params=params, steps=draw(st.integers(1, 25)),
+                     seed=draw(st.integers(0, 2 ** 16)), mode=mode, schedule=schedule,
+                     reference_heading=draw(st.sampled_from([0.0, 0.7])))
+
+
+def _spy_csv_parse(monkeypatch):
+    """Records each parse of trajectory.csv by load_trajectory."""
+    parsed = []
+    parse = harness._parse_trajectory_csv
+
+    def spy(run_dir, meta):
+        parsed.append(run_dir)
+        return parse(run_dir, meta)
+
+    monkeypatch.setattr(harness, "_parse_trajectory_csv", spy)
+    return parsed
+
+
+def _assert_same_trajectory(got, want):
+    for name in TRAJECTORY_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
+    assert (got.params, got.controller, got.switch_log) == (want.params, want.controller,
+                                                            want.switch_log)
+    assert np.array_equal(got.reference_speed, want.reference_speed, equal_nan=True)
+
+
+@given(_stored_configs())
+@settings(max_examples=25, deadline=None)
+def test_cached_load_equals_csv_load(tmp_path_factory, config):
+    out = tmp_path_factory.mktemp("run")
+    result = run(config, out_dir=out)
+    cached = load_trajectory(out)
+    assert all(getattr(cached, name).flags.c_contiguous for name in TRAJECTORY_FIELDS)
+    (out / "trajectory.npy").unlink()
+    parsed = load_trajectory(out)
+    _assert_same_trajectory(cached, parsed)
+    for name in ("positions", "headings", "speeds", "leader_mask"):
+        assert np.array_equal(getattr(cached, name), getattr(result.trajectory, name))
+    got, want = recursion_audit(cached), recursion_audit(parsed)
+    assert np.array_equal(got.slacks, want.slacks) and got.verdicts == want.verdicts
+    assert geometric_envelope_audit(cached).to_dict() == geometric_envelope_audit(parsed).to_dict()
+
+
+def test_run_meta_records_both_trajectory_digests(tmp_path, monkeypatch):
+    result = run(_leaderless_config(), out_dir=tmp_path)
+    meta = json.loads((tmp_path / "run_meta.json").read_text())
+    digests = meta.pop("trajectory_sha256")
+    assert meta == json.loads(json.dumps(result.meta))  # result.meta itself gains no key
+    assert "trajectory_sha256" not in result.meta
+    assert digests == {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                       for name in ("trajectory.csv", "trajectory.npy")}
+    values = np.load(tmp_path / "trajectory.npy")
+    traj = result.trajectory
+    assert values.dtype == np.float64 and values.flags.c_contiguous
+    assert np.array_equal(values, np.concatenate(
+        [traj.positions, traj.headings[..., None], traj.speeds[..., None]], axis=2))
+    parsed = _spy_csv_parse(monkeypatch)
+    load_trajectory(tmp_path)
+    assert parsed == []
+
+
+def test_edited_csv_is_loaded_though_the_npy_is_present(tmp_path, monkeypatch):
+    result = run(_leaderless_config(), out_dir=tmp_path)
+    path = tmp_path / "trajectory.csv"
+    header, *rows = path.read_text().splitlines(keepends=True)
+    k, t, agent, role, x, *rest = rows[13].split(",")
+    digit = next(i for i, c in enumerate(x) if c in "123456789" and i > 2)
+    edited_x = x[:digit] + str(int(x[digit]) % 9 + 1) + x[digit + 1:]
+    rows[13] = ",".join([k, t, agent, role, edited_x, *rest])
+    path.write_text(header + "".join(rows))
+    parsed = _spy_csv_parse(monkeypatch)
+    loaded = load_trajectory(tmp_path)
+    assert parsed == [tmp_path]
+    want = result.trajectory.positions.copy()
+    want[int(k), int(agent), 0] = float(edited_x)
+    assert float(edited_x) != float(x) and np.array_equal(loaded.positions, want)
+
+
+def test_edited_npy_alone_falls_back_to_the_csv(tmp_path, monkeypatch):
+    result = run(_leaderless_config(), out_dir=tmp_path)
+    path = tmp_path / "trajectory.npy"
+    values = np.load(path)
+    values[3, 2, 0] += 0.25
+    np.save(path, values)
+    parsed = _spy_csv_parse(monkeypatch)
+    loaded = load_trajectory(tmp_path)
+    assert parsed == [tmp_path]
+    assert np.array_equal(loaded.positions, result.trajectory.positions)
+
+
+def test_run_dir_without_digests_loads_through_the_csv(tmp_path, monkeypatch):
+    result = run(_leaderless_config(), out_dir=tmp_path)
+    meta_path = tmp_path / "run_meta.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["trajectory_sha256"]
+    meta_path.write_text(json.dumps(meta, indent=1))
+    parsed = _spy_csv_parse(monkeypatch)
+    loaded = load_trajectory(tmp_path)
+    assert parsed == [tmp_path]
+    assert np.array_equal(loaded.speeds, result.trajectory.speeds)
+    (tmp_path / "trajectory.npy").unlink()
+    load_trajectory(tmp_path)
+    assert parsed == [tmp_path] * 2
+
+
+@pytest.mark.parametrize("values", [np.zeros((21, 10, 3)), np.zeros((20, 10, 4)),
+                                    np.zeros((21, 10, 4), dtype=np.float32),
+                                    np.zeros((21, 10, 4), dtype=np.int64)])
+def test_digest_matching_npy_of_the_wrong_shape_or_dtype_is_an_error(tmp_path, capsys, values):
+    run(_leaderless_config(steps=20), out_dir=tmp_path)
+    path = tmp_path / "trajectory.npy"
+    np.save(path, values)
+    meta_path = tmp_path / "run_meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["trajectory_sha256"]["trajectory.npy"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    meta_path.write_text(json.dumps(meta, indent=1))
+    with pytest.raises(ValueError, match="trajectory.npy"):
+        load_trajectory(tmp_path)
+    assert main(["audit", "--traj", str(tmp_path)]) == EXIT_CONFIG
+    assert "trajectory.npy" in capsys.readouterr().err

@@ -45,3 +45,40 @@ def test_runs_from_64_agents_compute_distances_with_pdist():
     assert after_import == []
     assert "scipy.spatial.distance" in after_audit
     assert not any(m.startswith("scipy.integrate") for m in after_audit)
+
+
+# Records whether `import uniswarm` loads hashlib, then which file first
+# imports it during a run that writes nothing.
+_HASHLIB_SCRIPT = """
+import json, sys, traceback
+sys.path.insert(0, sys.argv[1])
+importers = []
+
+
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "hashlib":
+            frames = [f.filename for f in traceback.extract_stack()[:-1]]
+            importers.append([f for f in frames if not f.startswith("<frozen")][-1])
+        return None
+
+
+sys.meta_path.insert(0, Watch())
+import uniswarm
+after_import = "hashlib" in sys.modules
+from uniswarm import ModelParams, RunConfig, run
+run(RunConfig(params=ModelParams(n=8, r_n=0.5, v_n=0.05, tau_n=0.01), steps=20, seed=0))
+print(json.dumps([after_import, importers]))
+"""
+
+
+def test_import_and_runs_without_export_do_not_import_hashlib():
+    proc = subprocess.run([sys.executable, "-c", _HASHLIB_SCRIPT, str(SRC)],
+                          capture_output=True, text=True, check=True, timeout=120)
+    after_import, importers = json.loads(proc.stdout.splitlines()[-1])
+    assert not after_import
+    # numpy.random loads hashlib itself (bit_generator -> secrets -> hmac), so
+    # the run loads it; only the hashing functions of the export import it in
+    # the library
+    assert len(importers) == 1
+    assert not Path(importers[0]).resolve().is_relative_to(SRC / "uniswarm")

@@ -642,3 +642,45 @@ def test_run_pass_counts_graph_changes():
     changes = sum(not np.array_equal(a, b) for a, b in zip(adj[1:], adj[:-1]))
     assert 0 < changes < traj.n_steps
     assert instants.graph_changes == changes
+
+
+def _criterion8_config(seed):
+    params = ModelParams(n=100, alpha_n=0.3, r_n=0.3, v_n=0.1, tau_n=0.01, vartheta=0.5)
+    return RunConfig(params=params, steps=1000, seed=seed, mode=LEADER_CONSTANT,
+                     reference_heading=np.pi / 4)
+
+
+def _count_leader_fractions(monkeypatch):
+    graphs_seen = []
+
+    def counting(graph, leader_mask):
+        graphs_seen.append(graph)
+        return leader_fractions(graph, leader_mask)
+
+    monkeypatch.setattr(metrics, "leader_fractions", counting)
+    return graphs_seen
+
+
+def test_run_pass_takes_leader_fractions_once_per_graph(monkeypatch):
+    # alpha_i(0) serves the baseline and the k = 0 graph's own terms
+    seen = _count_leader_fractions(monkeypatch)
+    result = run(_criterion8_config(1))
+    assert len(seen) == len({id(g) for g in seen}) == result.meta["graph_changes"] + 1 == 11
+
+
+def test_envelope_audit_takes_leader_fractions_once_per_graph(monkeypatch):
+    # seed 1 skips before any graph is built; seed 0 passes, so the sweep sees every graph
+    result = run(_criterion8_config(0))
+    seen = _count_leader_fractions(monkeypatch)
+    report = geometric_envelope_audit(result.trajectory)
+    assert report.to_dict() == result.envelope.to_dict() and report.verdict == PASS
+    assert len(seen) == len({id(g) for g in seen}) == result.meta["graph_changes"] + 1
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_envelope_skip_for_an_empty_neighborhood_at_step_zero(seed):
+    p = ModelParams(n=10, alpha_n=0.3, r_n=0.15, v_n=0.3, tau_n=0.05, vartheta=0.9)
+    result = _run(p, 20, seed, LEADER_CONSTANT, reference_heading=0.3)
+    reason = "agent with empty neighborhood at step 0"
+    assert result.envelope.reason == geometric_envelope_audit(result.trajectory).reason == reason
+    assert result.envelope.to_dict() == _oracle_envelope_audit(result.trajectory).to_dict()
