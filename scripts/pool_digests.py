@@ -7,11 +7,11 @@ acceptance-criterion-8 leader campaign config (m=130, 1000 steps).  It
 prints one JSON object holding, per config and seed, the sha256 of
 ``trajectory.csv``, ``trajectory.npy``, ``metrics.csv``, ``audits.json`` and
 ``run_meta.json`` (the last without its ``wallclock`` entry), and the
-re-audit's recursion slacks (sha256 of their bytes) and verdicts three
-times: from the files on disk (``reaudit_disk``, which reads
-``trajectory.npy``), from a copy of the directory without
-``trajectory.npy`` (``reaudit_csv``, which parses ``trajectory.csv``) and
-from the trajectory in memory (``reaudit_memory``).
+re-audit's recursion slacks (sha256 of their bytes), verdicts and
+``ring_containment_check`` three times: from the files on disk
+(``reaudit_disk``, which reads ``trajectory.npy``), from a copy of the
+directory without ``trajectory.npy`` (``reaudit_csv``, which parses
+``trajectory.csv``) and from the trajectory in memory (``reaudit_memory``).
 
 Run it on two checkouts and diff the output:
 
@@ -37,7 +37,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from uniswarm import (LEADER_CONSTANT, ModelParams, RunConfig, geometric_envelope_audit,  # noqa: E402
-                      load_trajectory, recursion_audit, run, scenario_fig3)
+                      load_trajectory, recursion_audit, ring_containment_check, run,
+                      scenario_fig3)
 
 SEEDS = range(8)
 FILES = ("trajectory.csv", "trajectory.npy", "metrics.csv", "audits.json")
@@ -67,7 +68,8 @@ def _reaudit(traj, substeps: int) -> dict:
     return {"slacks_sha256": _sha256(recursion.slacks.tobytes()),
             "verdicts_sha256": _sha256(json.dumps(recursion.verdicts).encode()),
             "fail_count": recursion.fail_count, "max_violation": recursion.max_violation,
-            "envelope": geometric_envelope_audit(traj).to_dict()}
+            "envelope": geometric_envelope_audit(traj).to_dict(),
+            "ring_containment": ring_containment_check(traj)}
 
 
 def digests(config: RunConfig, out: Path) -> dict:

@@ -19,10 +19,6 @@ from .graphs import build_graph, leader_fractions
 
 DEFAULT_SEPARATION = 10.0
 
-# constant in the leader heading deviation scale L_n; the analysis leaves it
-# unhoused, so it is exposed as a configuration knob
-DEFAULT_C1 = 1.0
-
 
 @dataclass(frozen=True)
 class ConditionReport:

@@ -62,12 +62,3 @@ def trajectory_controls(trajectory) -> tuple[np.ndarray, np.ndarray]:
     return (np.diff(trajectory.headings, axis=0) / tau,
             np.diff(trajectory.speeds, axis=0) / tau)
 
-
-def write_controls_csv(trajectory, path) -> None:
-    """Per-step control export ``k,agent,omega,u`` (see :func:`trajectory_controls`)."""
-    omegas, accels = trajectory_controls(trajectory)
-    with open(path, "w", newline="") as fh:
-        fh.write("k,agent,omega,u\n")
-        for k, (omega, u) in enumerate(zip(omegas.tolist(), accels.tolist())):
-            fh.write("".join(f"{k},{i},{w:.17g},{a:.17g}\n"
-                             for i, (w, a) in enumerate(zip(omega, u))))

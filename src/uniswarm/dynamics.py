@@ -14,6 +14,7 @@ flagged by a diagnostic rather than clamped.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,9 @@ from .graphs import build_graph  # noqa: F401  (a layer boundary that perfbench/
 
 STRICT_C_MAX = 1.0 / (144.0 * 320.0)
 STRICT_C_PRIME_MAX = 1.0 / 144.0
+
+_FLOAT_FIELDS = ("r_n", "v_n", "tau_n", "alpha_n", "vartheta", "eta", "eta_n", "c", "c_prime",
+                 "epsilon")
 
 
 @dataclass
@@ -65,8 +69,25 @@ class ModelParams:
         return self.eta_n_effective * self.r_n
 
     def validate(self, strict: bool = False) -> None:
+        try:
+            operator.index(self.n)
+            integer = not isinstance(self.n, bool)
+        except TypeError:
+            integer = False
+        if not integer:
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if name == "eta_n" and value is None:
+                continue
+            try:
+                finite = math.isfinite(value)
+            except TypeError:
+                finite = False
+            if not finite:
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         for name in ("r_n", "v_n", "tau_n"):
             value = getattr(self, name)
             if not value >= 0 or (name in ("r_n", "tau_n") and value == 0):

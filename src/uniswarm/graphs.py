@@ -164,25 +164,14 @@ def _checked_radius(radius: float) -> float:
 def build_graph(positions: np.ndarray, radius: float, self_inclusive: bool = True) -> ProximityGraph:
     """Neighbor graph with edge (i, j) iff ||X_i - X_j|| < radius (strict)."""
     positions = _checked_positions(positions)
-    _checked_radius(radius)
-    return graph_from_distances(pairwise_distances(positions), radius, self_inclusive)
-
-
-def _adjacency(distances: np.ndarray, radius: float, self_inclusive: bool) -> np.ndarray:
-    adjacency = distances < radius
+    adjacency = pairwise_distances(positions) < _checked_radius(radius)
     np.fill_diagonal(adjacency, self_inclusive)
-    return adjacency
+    return _graph(adjacency, radius, self_inclusive)
 
 
 def _graph(adjacency: np.ndarray, radius: float, self_inclusive: bool) -> ProximityGraph:
     return ProximityGraph(radius=float(radius), adjacency=adjacency,
                           degrees=adjacency.sum(axis=1), self_inclusive=self_inclusive)
-
-
-def graph_from_distances(distances: np.ndarray, radius: float,
-                         self_inclusive: bool) -> ProximityGraph:
-    """The graph of :func:`build_graph` from an already computed distance matrix."""
-    return _graph(_adjacency(distances, radius, self_inclusive), radius, self_inclusive)
 
 
 class GraphSweep:

@@ -8,6 +8,7 @@ seed and aggregate.  All JSON outputs carry a ``schema_version`` field.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 from .dynamics import (CONTROLLERS, LEADER_CONSTANT, LEADER_DYNAMIC, LEADERLESS,
                        ModelParams, Trajectory, run_epoch, sample_initial)
 from .metrics import (FAIL, EnvelopeAuditReport, RecursionAuditReport, RunPass, StepMetrics,
-                      write_metrics_csv)
+                      sync_detect, write_metrics_csv)
 # layer boundaries that perfbench/tracing.py wraps; run() computes their
 # results in its one pass over the instants
 from .graphs import build_graph  # noqa: F401
@@ -72,6 +73,8 @@ class RunConfig:
             raise ValueError("steps must be >= 1")
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
+        if not math.isfinite(self.reference_heading):
+            raise ValueError(f"reference_heading must be finite, got {self.reference_heading!r}")
 
     def to_dict(self) -> dict:
         out = {
@@ -173,9 +176,8 @@ def run(config: RunConfig, out_dir: str | Path | None = None) -> RunResult:
     recursion = envelope = None
     if config.audit_level != "off":
         recursion = instants.recursion_audit(traj, substep_count=config.substeps)
-        envelope = instants.geometric_envelope_audit(traj, params)
-    # sync_detect(traj, 1e-6, 1e-6), read from the dissimilarities the rows hold
-    sync_index = next((r.k for r in rows if r.delta_theta <= 1e-6 and r.delta_v <= 1e-6), None)
+        envelope = instants.geometric_envelope_audit(traj)
+    sync_index = sync_detect(traj, 1e-6, 1e-6)
     disconnected = np.flatnonzero(~traj.connected)
 
     meta = {

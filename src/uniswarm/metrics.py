@@ -14,10 +14,9 @@ import numpy as np
 
 from .dynamics import ModelParams, SwarmState, Trajectory
 from .graphs import (GraphSweep, ProximityGraph, _distance_chunks, averaging_rows,
-                     connectivity, graph_from_distances, leader_fractions, pairwise_distances,
-                     ring_sets)
+                     connectivity, leader_fractions)
 # layer boundaries that perfbench/tracing.py wraps
-from .graphs import averaging_matrix, build_graph  # noqa: F401
+from .graphs import averaging_matrix, build_graph, pairwise_distances  # noqa: F401
 
 PASS, SKIP, FAIL, REPORT = "PASS", "SKIP", "FAIL", "REPORT"
 
@@ -63,9 +62,9 @@ def _baseline(initial: SwarmState, graph: ProximityGraph,
     if not initial.leader_mask.any():
         return MetricsBaseline(state=initial, graph=graph, distances=distances,
                                alphas=np.zeros(graph.node_count))
-    alphas, empty = _initial_leader_terms(graph, initial.leader_mask)
+    alphas, totals = leader_fractions(graph, initial.leader_mask)
     return MetricsBaseline(state=initial, graph=graph, distances=distances, alphas=alphas,
-                           empty_neighborhood=empty)
+                           empty_neighborhood=bool((totals == 0).any()))
 
 
 def step_metrics(state: SwarmState, baseline: MetricsBaseline,
@@ -82,9 +81,7 @@ def step_metrics(state: SwarmState, baseline: MetricsBaseline,
     graph = sweep.advance(state.positions)
     distances = sweep.distances
     drift = float(_max_abs_difference(distances, baseline.distances, out=distances))
-    alpha_drift = 0.0
-    if state.leader_mask.any():
-        alpha_drift, _ = _leader_terms(graph, state.leader_mask, baseline.alphas)
+    alpha_drift, _ = _leader_terms(graph, baseline)
     return StepMetrics(k=state.sample_index, delta_theta=delta_theta, delta_v=delta_v,
                        tracking_theta=tracking_theta, tracking_v=tracking_v,
                        max_distance_drift=drift, p_deviation=_p_deviation(graph, baseline),
@@ -143,21 +140,17 @@ def _p_deviation(graph: ProximityGraph, baseline: MetricsBaseline) -> float:
     return float(np.linalg.norm(rows, 2))
 
 
-def _initial_leader_terms(graph: ProximityGraph,
-                          leader_mask: np.ndarray) -> tuple[np.ndarray, bool]:
-    """alpha_i(0) on the k = 0 ``graph``, and whether some agent's
-    neighborhood, the agent itself excluded, is empty.  The alpha-drift of
-    that graph is 0, so :func:`_leader_terms` need not be taken on it."""
-    alphas, totals = leader_fractions(graph, leader_mask)
-    return alphas, bool((totals == 0).any())
-
-
-def _leader_terms(graph: ProximityGraph, leader_mask: np.ndarray,
-                  initial_alphas: np.ndarray) -> tuple[float, bool]:
+def _leader_terms(graph: ProximityGraph, baseline: MetricsBaseline) -> tuple[float, bool]:
     """max_i |alpha_i - alpha_i(0)| on ``graph``, and whether some agent's
-    neighborhood, the agent itself excluded, is empty."""
+    neighborhood, the agent itself excluded, is empty: (0, False) without
+    leaders, and on the k = 0 graph the baseline's own terms."""
+    leader_mask = baseline.state.leader_mask
+    if not leader_mask.any():
+        return 0.0, False
+    if graph is baseline.graph:
+        return 0.0, baseline.empty_neighborhood
     alphas, totals = leader_fractions(graph, leader_mask)
-    return float(np.abs(alphas - initial_alphas).max()), bool((totals == 0).any())
+    return float(np.abs(alphas - baseline.alphas).max()), bool((totals == 0).any())
 
 
 def _distance_changes(positions: np.ndarray) -> np.ndarray:
@@ -169,27 +162,24 @@ def _distance_changes(positions: np.ndarray) -> np.ndarray:
     return np.array(changes)
 
 
-def _leader_shares(traj: Trajectory, params: ModelParams) -> tuple[np.ndarray, float, int | None]:
+def _leader_shares(traj: Trajectory) -> tuple[np.ndarray, float, int | None]:
     """alpha_i(0), the alpha-drift mu, and the first instant with an empty
     neighborhood or None; when there is such an instant, the sweep stops
     there and mu covers only the instants before it."""
-    mask = traj.leader_mask
-    sweep = GraphSweep(params.r_n, params.self_inclusive)
-    graph = initial = None
+    sweep = GraphSweep(traj.params.r_n, traj.params.self_inclusive)
+    baseline = graph = None
     mu, k = 0.0, 0
     for run_graph, distances in sweep.runs(traj.positions):
+        if baseline is None:
+            baseline = _baseline(traj.state_at(0), run_graph, distances[0])
         if run_graph is not graph:
             graph = run_graph
-            if initial is None:
-                initial, empty = _initial_leader_terms(graph, mask)
-                drift = 0.0
-            else:
-                drift, empty = _leader_terms(graph, mask, initial)
+            drift, empty = _leader_terms(graph, baseline)
             if empty:
-                return initial, mu, k
+                return baseline.alphas, mu, k
             mu = max(mu, drift)
         k += len(distances)
-    return initial, mu, None
+    return baseline.alphas, mu, None
 
 
 def _envelope_integral(values_k: np.ndarray, values_k1: np.ndarray, tau: float,
@@ -243,12 +233,12 @@ def recursion_audit(traj: Trajectory, substep_count: int = 16) -> RecursionAudit
     The inequality follows from the triangle inequality and |sin x| <= |x|,
     so any violation beyond tolerance is an implementation bug.
     """
-    return _recursion_audit(traj, substep_count, lambda: _distance_changes(traj.positions))
+    return _recursion_audit(traj, substep_count, _distance_changes(traj.positions))
 
 
 def _recursion_audit(traj: Trajectory, substep_count: int,
-                     distance_changes) -> RecursionAuditReport:
-    """The audit with the left-hand sides from ``distance_changes()``."""
+                     distance_changes: np.ndarray) -> RecursionAuditReport:
+    """The audit with the left-hand sides ``distance_changes``, one per step."""
     if traj.n_steps < 1:
         raise ValueError("trajectory needs at least 2 sampling instants")
     if substep_count < 1:
@@ -265,7 +255,7 @@ def _recursion_audit(traj: Trajectory, substep_count: int,
     vmax = np.abs(speeds[:-1]).max(axis=1)
     rhs = 2.0 * int_dv + 2.0 * vmax * int_dth
 
-    slacks = rhs - distance_changes()
+    slacks = rhs - distance_changes
     failed = slacks < -_AUDIT_TOL
     verdicts = np.where(failed, FAIL, PASS).tolist()
     max_violation = float(-slacks[failed].min()) if failed.any() else 0.0
@@ -285,8 +275,7 @@ class EnvelopeAuditReport:
                 "violations": self.violations, "details": self.details}
 
 
-def geometric_envelope_audit(traj: Trajectory, params: ModelParams | None = None,
-                             tol: float = _AUDIT_TOL) -> EnvelopeAuditReport:
+def geometric_envelope_audit(traj: Trajectory) -> EnvelopeAuditReport:
     """Leader runs: geometric decay of heading/speed deviations with rate
     gamma = max_i(1 - (alpha_i(0) - mu) * vartheta), mu the observed
     alpha-drift.  Valid whenever the observed premises hold; otherwise the
@@ -294,24 +283,22 @@ def geometric_envelope_audit(traj: Trajectory, params: ModelParams | None = None
     against the (1 - r^2/288)^k envelope and reported, never failed, since
     that rate rests on an almost-sure spectral bound.
     """
-    params = traj.params if params is None else params
-    return _envelope_audit(traj, params, tol, lambda: _leader_shares(traj, params))
+    return _envelope_audit(traj, lambda: _leader_shares(traj))
 
 
-def _envelope_audit(traj: Trajectory, params: ModelParams, tol: float,
-                    leader_shares) -> EnvelopeAuditReport:
+def _envelope_audit(traj: Trajectory, leader_shares) -> EnvelopeAuditReport:
     """The audit with alpha_i(0), mu and the first instant with an empty
     neighborhood from ``leader_shares()``, called once the premises that
     need no graph hold."""
     if not traj.leader_mask.any():
-        return _leaderless_envelope_report(traj, params)
+        return _leaderless_envelope_report(traj)
 
     refs = traj.reference_headings
     if not np.all(np.isfinite(refs)) or not np.all(refs == refs[0]):
         return EnvelopeAuditReport(verdict=SKIP, reason="reference heading is not constant")
     theta_bar = float(refs[0])
     v_bar = traj.reference_speed
-    vartheta = params.vartheta
+    vartheta = traj.params.vartheta
 
     mask = traj.leader_mask
     followers, leaders = ~mask, mask
@@ -322,10 +309,10 @@ def _envelope_audit(traj: Trajectory, params: ModelParams, tol: float,
     v_dev = np.abs(traj.speeds - v_bar)
     big_a = float(theta_dev[1, followers].max())
     big_b = float(v_dev[1, followers].max())
-    if theta_dev[1, leaders].max() > (1.0 - vartheta) * big_a + tol:
+    if theta_dev[1, leaders].max() > (1.0 - vartheta) * big_a + _AUDIT_TOL:
         return EnvelopeAuditReport(verdict=SKIP,
                                    reason="leader initial heading deviation exceeds (1-vartheta)A")
-    if v_dev[1, leaders].max() > (1.0 - vartheta) * big_b + tol:
+    if v_dev[1, leaders].max() > (1.0 - vartheta) * big_b + _AUDIT_TOL:
         return EnvelopeAuditReport(verdict=SKIP,
                                    reason="leader initial speed deviation exceeds (1-vartheta)B")
 
@@ -344,7 +331,7 @@ def _envelope_audit(traj: Trajectory, params: ModelParams, tol: float,
         leader_excess = dev[1:, leaders].max(axis=1) - (1.0 - vartheta) * power * amp
         # the larger of the two, the follower term on ties and nan, as max() takes it
         excess = np.where(leader_excess > follower_excess, leader_excess, follower_excess)
-        over = excess[excess > tol]
+        over = excess[excess > _AUDIT_TOL]
         violations += len(over)
         if len(over):
             worst = max(worst, float(over.max()))
@@ -354,8 +341,8 @@ def _envelope_audit(traj: Trajectory, params: ModelParams, tol: float,
                                         "worst_excess": worst})
 
 
-def _leaderless_envelope_report(traj: Trajectory, params: ModelParams) -> EnvelopeAuditReport:
-    lambda_hat = 1.0 - params.r_n ** 2 / 288.0
+def _leaderless_envelope_report(traj: Trajectory) -> EnvelopeAuditReport:
+    lambda_hat = 1.0 - traj.params.r_n ** 2 / 288.0
     delta_v = traj.speeds.max(axis=1) - traj.speeds.min(axis=1)
     scale = 2.0 * np.sqrt(2.0) * float(np.linalg.norm(traj.speeds[1]))
     ks = np.arange(1, traj.n_steps + 1)
@@ -413,15 +400,8 @@ class RunPass:
         if graph is not self._graph:
             self.graph_changes += self._graph is not None
             self._graph = graph
-            baseline = self.baseline
-            leader_mask = baseline.state.leader_mask
-            if not leader_mask.any():
-                leader_terms = (0.0, False)
-            elif graph is baseline.graph:
-                leader_terms = (0.0, baseline.empty_neighborhood)
-            else:
-                leader_terms = _leader_terms(graph, leader_mask, baseline.alphas)
-            self._graph_terms = (_p_deviation(graph, baseline), *leader_terms)
+            self._graph_terms = (_p_deviation(graph, self.baseline),
+                                 *_leader_terms(graph, self.baseline))
         p_dev, alpha_drift, empty = self._graph_terms
         if empty and self._first_empty is None:
             self._first_empty = k
@@ -440,12 +420,11 @@ class RunPass:
             traj.connected.tolist()))]
 
     def recursion_audit(self, traj: Trajectory, substep_count: int = 16) -> RecursionAuditReport:
-        return _recursion_audit(traj, substep_count, lambda: np.array(self._distance_change))
+        return _recursion_audit(traj, substep_count, np.array(self._distance_change))
 
-    def geometric_envelope_audit(self, traj: Trajectory, params: ModelParams,
-                                 tol: float = _AUDIT_TOL) -> EnvelopeAuditReport:
+    def geometric_envelope_audit(self, traj: Trajectory) -> EnvelopeAuditReport:
         shares = (self.baseline.alphas, max(self._alpha_drift), self._first_empty)
-        return _envelope_audit(traj, params, tol, lambda: shares)
+        return _envelope_audit(traj, lambda: shares)
 
 
 def sync_detect(traj: Trajectory, tol_theta: float, tol_v: float) -> int | None:
@@ -458,32 +437,32 @@ def sync_detect(traj: Trajectory, tol_theta: float, tol_v: float) -> int | None:
     return int(hits[0]) if len(hits) else None
 
 
-def ring_containment_check(traj: Trajectory, params: ModelParams | None = None) -> dict:
+def ring_containment_check(traj: Trajectory) -> dict:
     """If every pairwise distance stayed within the drift budget up to step K,
     the neighbor-set change at each instant must be contained in the initial
-    ring sets.  Exact cross-check against the annulus membership."""
-    params = traj.params if params is None else params
-    budget = params.drift_budget
-    dist0 = pairwise_distances(traj.positions[0])
-    rings = ring_sets(traj.positions[0], params.r_n, params.eta_n_effective,
-                      traj.leader_mask)
-    ring_members = [set(r.followers.tolist()) | set(r.leaders.tolist()) for r in rings]
-    adj0 = graph_from_distances(dist0, params.r_n, params.self_inclusive).adjacency
-
-    holds_up_to = -1
-    contained = True
-    drift = np.empty_like(dist0)
-    for k in range(traj.n_steps + 1):
-        dist_k = pairwise_distances(traj.positions[k])
-        np.subtract(dist_k, dist0, out=drift)
-        if np.abs(drift, out=drift).max() > budget:
+    ring sets.  Exact cross-check against the annulus membership: every pair
+    whose neighbor relation differs from k = 0's at an instant within the
+    budget must have its initial distance in [(1-eta)r, (1+eta)r] (see
+    :func:`ring_sets`), eta = ``eta_n_effective``, which must be positive.
+    The condensed distances are taken a chunk of instants at a time."""
+    params = traj.params
+    radius, eta, budget = params.r_n, params.eta_n_effective, params.drift_budget
+    if not eta > 0:
+        raise ValueError(f"eta must be positive, got {eta}")
+    holds_up_to, contained = -1, True
+    initial = None
+    for distances in _distance_chunks(traj.positions):
+        if initial is None:
+            initial = distances[0].copy()
+            pairs0 = initial < radius
+            outside = ~((initial >= (1.0 - eta) * radius) & (initial <= (1.0 + eta) * radius))
+        changed = (distances < radius) != pairs0
+        over = np.flatnonzero(_max_abs_difference(distances, initial, out=distances) > budget)
+        within = int(over[0]) if len(over) else len(distances)
+        contained = contained and not (changed[:within] & outside).any()
+        holds_up_to += within
+        if len(over):
             break
-        holds_up_to = k
-        adj_k = graph_from_distances(dist_k, params.r_n, params.self_inclusive).adjacency
-        changed = adj_k != adj0
-        for i, j in zip(*np.where(changed)):
-            if j not in ring_members[i]:
-                contained = False
     return {"drift_within_budget_up_to": holds_up_to, "containment_holds": contained}
 
 

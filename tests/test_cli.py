@@ -79,6 +79,22 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 10.5), ("n", True), ("n", "ten"), ("v_n", float("inf")), ("r_n", float("-inf")),
+    ("tau_n", float("nan")), ("eta_n", float("nan")), ("c", float("nan")),
+    ("c_prime", float("inf")), ("epsilon", "0.05"), ("reference_heading", float("nan"))])
+def test_config_field_of_wrong_type_or_not_finite_exits_2(tmp_path, capsys, field, value):
+    # json.dumps writes nan and inf as NaN and Infinity, which json.load reads back
+    config = {"params": {"n": 8, "r_n": 0.5, "v_n": 0.05, "tau_n": 0.01}, "steps": 3}
+    (config if field == "reference_heading" else config["params"])[field] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field} must be ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 

@@ -3,8 +3,7 @@ import pytest
 
 from uniswarm import (build_graph, follower_control, leader_control, leader_discrete_step,
                       leaderless_discrete_step)
-from uniswarm.control import write_controls_csv
-from uniswarm.dynamics import ModelParams, SwarmState, run_epoch, sample_initial
+from uniswarm.dynamics import SwarmState
 from uniswarm.reference import ReferenceSchedule
 
 from conftest import make_state
@@ -134,31 +133,3 @@ def test_leader_control_tracks_schedule_switches():
     sig1 = leader_control(1, state, g, TAU, 1.0, schedule.current_heading, 0.0)
     assert sig1.omega == pytest.approx((np.pi / 2) / TAU, rel=1e-14)
 
-
-def _oracle_write_controls_csv(traj, path):
-    """The writer over the controls run_epoch used to record step by step."""
-    tau = traj.params.tau_n
-    with open(path, "w", newline="") as fh:
-        fh.write("k,agent,omega,u\n")
-        for k in range(traj.n_steps):
-            omega = (traj.headings[k + 1] - traj.headings[k]) / tau
-            u = (traj.speeds[k + 1] - traj.speeds[k]) / tau
-            for i in range(len(omega)):
-                fh.write(f"{k},{i},{omega[i]:.17g},{u[i]:.17g}\n")
-
-
-def test_write_controls_csv(tmp_path):
-    p = ModelParams(n=4, r_n=0.5, v_n=0.1, tau_n=0.01)
-    traj = run_epoch(sample_initial(p, 1), p, 3)
-    path = tmp_path / "controls.csv"
-    write_controls_csv(traj, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k,agent,omega,u"
-    assert len(lines) == 1 + 3 * 4
-
-    q = ModelParams(n=20, alpha_n=0.2, r_n=0.3, v_n=0.2, tau_n=0.02)
-    traj = run_epoch(sample_initial(q, 2), q, 40, controller="leader_constant",
-                     reference_heading=0.4)
-    _oracle_write_controls_csv(traj, tmp_path / "oracle.csv")
-    write_controls_csv(traj, path)
-    assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()

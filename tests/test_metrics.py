@@ -10,8 +10,8 @@ from uniswarm import (ModelParams, ReferenceSchedule, RunConfig, RunPass, build_
                       sync_detect)
 from uniswarm import graphs, load_trajectory, metrics
 from uniswarm.dynamics import LEADER_CONSTANT, LEADER_DYNAMIC, LEADERLESS, SwarmState
-from uniswarm.graphs import (averaging_matrix, averaging_rows, graph_from_distances,
-                             leader_fractions, pairwise_distances)
+from uniswarm.graphs import (averaging_matrix, averaging_rows, leader_fractions,
+                             pairwise_distances, ring_sets)
 from uniswarm.metrics import (_AUDIT_BLOCK, FAIL, PASS, REPORT, SKIP, EnvelopeAuditReport,
                               StepMetrics, _envelope_integral, write_metrics_csv)
 
@@ -374,6 +374,116 @@ def test_ring_containment_under_negligible_drift():
     assert out["containment_holds"]
 
 
+def _oracle_ring_containment_check(traj):
+    """ring_containment_check as it was before it read condensed distances:
+    one dense distance matrix and adjacency per instant, and each changed
+    pair looked up in the initial ring sets."""
+    params = traj.params
+    budget = params.drift_budget
+    dist0 = pairwise_distances(traj.positions[0])
+    rings = ring_sets(traj.positions[0], params.r_n, params.eta_n_effective, traj.leader_mask)
+    ring_members = [set(r.followers.tolist()) | set(r.leaders.tolist()) for r in rings]
+    adj0 = build_graph(traj.positions[0], params.r_n, params.self_inclusive).adjacency
+
+    holds_up_to = -1
+    contained = True
+    drift = np.empty_like(dist0)
+    for k in range(traj.n_steps + 1):
+        dist_k = pairwise_distances(traj.positions[k])
+        np.subtract(dist_k, dist0, out=drift)
+        if np.abs(drift, out=drift).max() > budget:
+            break
+        holds_up_to = k
+        adj_k = build_graph(traj.positions[k], params.r_n, params.self_inclusive).adjacency
+        changed = adj_k != adj0
+        for i, j in zip(*np.where(changed)):
+            if j not in ring_members[i]:
+                contained = False
+    return {"drift_within_budget_up_to": holds_up_to, "containment_holds": contained}
+
+
+def _ring_trajectory(seed):
+    """A random run with eta_n log-uniform in [1e-3, 0.3], so that the drift
+    budget is exceeded at step 1, mid-run or never, on one agent, below 64
+    agents (numpy distances) or from 64 on (pdist)."""
+    rng = np.random.default_rng(seed)
+    m = 1 if seed % 50 == 0 else int(rng.integers(2, 64) if seed % 2 else rng.integers(64, 90))
+    mode = LEADER_CONSTANT if m > 1 and seed % 3 == 0 else LEADERLESS
+    params = ModelParams(n=m, r_n=float(rng.uniform(0.15, 0.5)), v_n=float(rng.uniform(0.02, 0.5)),
+                         tau_n=0.01, alpha_n=0.2 if mode == LEADER_CONSTANT else 0.0,
+                         eta_n=float(10.0 ** rng.uniform(-3.0, np.log10(0.3))),
+                         self_inclusive=bool(rng.integers(2)))
+    return run_epoch(sample_initial(params, seed), params, int(rng.integers(5, 40)),
+                     controller=mode, reference_heading=0.3)
+
+
+@pytest.mark.parametrize("one_instant_chunks", [False, True])
+def test_ring_containment_matches_dense_oracle(monkeypatch, one_instant_chunks):
+    if one_instant_chunks:
+        monkeypatch.setattr(graphs, "_CHUNK_BYTES", 1)
+    seeds = range(150 * one_instant_chunks, 150 * (one_instant_chunks + 1))
+    regimes, sizes = set(), set()
+    for seed in seeds:
+        traj = _ring_trajectory(seed)
+        got = ring_containment_check(traj)
+        assert got == _oracle_ring_containment_check(traj), seed
+        holds = got["drift_within_budget_up_to"]
+        regimes.add("step 1" if holds == 0 else "never" if holds == traj.n_steps else "mid-run")
+        m = traj.positions.shape[1]
+        sizes.add("one" if m == 1 else "below 64" if m < 64 else "from 64")
+    assert regimes == {"step 1", "mid-run", "never"}
+    assert sizes == {"one", "below 64", "from 64"}
+
+
+def _pair_trajectory(r, eta, distances):
+    """A pair of agents on the x-axis at the given distances, one per
+    instant, whose arithmetic is exact, and a third agent far away."""
+    p = ModelParams(n=3, r_n=r, v_n=0.0, tau_n=0.01, eta_n=eta)
+    traj = run_epoch(sample_initial(p, 0), p, len(distances) - 1)
+    traj.positions[:] = [[0.0, 0.0], [0.0, 0.0], [5.0, 5.0]]
+    traj.positions[:, 1, 0] = distances
+    return traj
+
+
+@pytest.mark.parametrize("r, eta, below_edge", [
+    # eta*r rounds so that a pair one ulp below the annulus, at r - eta*r,
+    # reaches distance r at a drift equal to the budget: not contained
+    (0.30769201868561236, 0.2491113915981527, True),
+    # a pair on the annulus' closed lower edge (1-eta)r reaches r within budget
+    (0.35591081235012834, 0.28518864520145465, False)])
+def test_ring_containment_at_the_annulus_edge_matches_the_oracle(r, eta, below_edge):
+    start = r - eta * r if below_edge else (1.0 - eta) * r
+    assert (start < (1.0 - eta) * r) == below_edge and r - start <= eta * r
+    traj = _pair_trajectory(r, eta, [start, start, r])
+    want = {"drift_within_budget_up_to": 2, "containment_holds": not below_edge}
+    assert _oracle_ring_containment_check(traj) == want
+    assert ring_containment_check(traj) == want
+
+
+@pytest.mark.parametrize("one_instant_chunks", [False, True])
+def test_ring_containment_ends_at_the_first_instant_over_budget(monkeypatch, one_instant_chunks):
+    # the pair jumps out of the budget at step 2 and back at step 3
+    if one_instant_chunks:
+        monkeypatch.setattr(graphs, "_CHUNK_BYTES", 1)
+    traj = _pair_trajectory(0.3, 0.01, [0.2, 0.2005, 0.25, 0.2, 0.2])
+    want = {"drift_within_budget_up_to": 1, "containment_holds": True}
+    assert _oracle_ring_containment_check(traj) == want
+    assert ring_containment_check(traj) == want
+
+
+def test_ring_containment_rejects_non_finite_positions_and_no_annulus():
+    p = ModelParams(n=10, r_n=0.3, v_n=0.1, tau_n=0.01, eta_n=0.1)
+    for bad in (np.nan, np.inf):
+        traj = run_epoch(sample_initial(p, 1), p, 5)
+        traj.positions[3, 4, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ring_containment_check(traj)
+    for eta_n in (0.0, -0.1):
+        q = ModelParams(n=10, r_n=0.3, v_n=0.1, tau_n=0.01, eta_n=eta_n)
+        with pytest.raises(ValueError, match="eta must be positive"):
+            ring_containment_check(run_epoch(sample_initial(q, 1), q, 5))
+
+
 def test_p_deviation_bound_when_containment_holds():
     # conditional invariant: with containment and R_max <= d_min(0)/2,
     # ||P(t_k) - P(0)|| <= 80 * eta_n * 1.25
@@ -427,9 +537,9 @@ def _oracle_step_metrics(state, baseline, reference_heading=float("nan"),
         if np.isfinite(reference_speed) else float("nan")
     radius, self_inclusive = baseline.graph.radius, baseline.graph.self_inclusive
     initial_distances = pairwise_distances(baseline.state.positions)
-    initial_graph = graph_from_distances(initial_distances, radius, self_inclusive)
+    initial_graph = build_graph(baseline.state.positions, radius, self_inclusive)
     distances = pairwise_distances(state.positions)
-    graph = graph_from_distances(distances, radius, self_inclusive)
+    graph = build_graph(state.positions, radius, self_inclusive)
     distances -= initial_distances
     drift = float(np.abs(distances, out=distances).max())
     changed = np.where((graph.adjacency != initial_graph.adjacency).any(axis=1))[0]
@@ -570,7 +680,7 @@ def test_drift_and_distance_change_without_pairs_and_with_one_pair(tmp_path, m):
     assert [r.max_distance_drift for r in result.metrics] == np.abs(distance - distance[0]).tolist()
     change = np.abs(np.diff(distance))
     assert change.max() > 0.0 if m == 2 else (change == 0.0).all()
-    want = metrics._recursion_audit(traj, 16, lambda: change).slacks
+    want = metrics._recursion_audit(traj, 16, change).slacks
     for slacks in (result.recursion.slacks, recursion_audit(traj).slacks,
                    recursion_audit(load_trajectory(tmp_path)).slacks):
         assert np.array_equal(slacks, want)
@@ -630,7 +740,7 @@ def test_run_pass_coincident_agents(self_inclusive):
                      observer=instants.observe)
     _assert_fused_matches_oracle(traj, instants.step_metrics(traj),
                                  instants.recursion_audit(traj),
-                                 instants.geometric_envelope_audit(traj, p))
+                                 instants.geometric_envelope_audit(traj))
 
 
 def test_run_pass_counts_graph_changes():
