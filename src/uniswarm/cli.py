@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a proof-inequality audit fails, 2 on a
-configuration error.  The output directory can be overridden with the
-UNISWARM_OUT environment variable.
+configuration error, 3 on any other error (such as a swarm or a run too
+large to allocate), each error reported in one line on stderr.  The output
+directory can be overridden with the UNISWARM_OUT environment variable.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .harness import (ConfigError, RunConfig, campaign, load_trajectory, run,
                       scenario_fig3)
 from .metrics import FAIL, geometric_envelope_audit, recursion_audit
 
-EXIT_OK, EXIT_AUDIT_FAIL, EXIT_CONFIG = 0, 1, 2
+EXIT_OK, EXIT_AUDIT_FAIL, EXIT_CONFIG, EXIT_ERROR = 0, 1, 2, 3
 
 
 def _out_dir(arg: str | None, default: str) -> Path:
@@ -151,6 +152,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:  # exit 1 is kept for a failed audit
+        print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -29,6 +29,24 @@ _FLOAT_FIELDS = ("r_n", "v_n", "tau_n", "alpha_n", "vartheta", "eta", "eta_n", "
                  "epsilon")
 
 
+def _require_integer(name: str, value) -> None:
+    """Raises ValueError unless ``value`` is an integer (``operator.index``), not a bool."""
+    try:
+        operator.index(value)
+        integer = not isinstance(value, bool)
+    except TypeError:
+        integer = False
+    if not integer:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _is_finite_number(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
+
+
 @dataclass
 class ModelParams:
     """All model parameters.
@@ -69,25 +87,17 @@ class ModelParams:
         return self.eta_n_effective * self.r_n
 
     def validate(self, strict: bool = False) -> None:
-        try:
-            operator.index(self.n)
-            integer = not isinstance(self.n, bool)
-        except TypeError:
-            integer = False
-        if not integer:
-            raise ValueError(f"n must be an integer, got {self.n!r}")
+        _require_integer("n", self.n)
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
             if name == "eta_n" and value is None:
                 continue
-            try:
-                finite = math.isfinite(value)
-            except TypeError:
-                finite = False
-            if not finite:
+            if not _is_finite_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.self_inclusive, (bool, np.bool_)):
+            raise ValueError(f"self_inclusive must be true or false, got {self.self_inclusive!r}")
         for name in ("r_n", "v_n", "tau_n"):
             value = getattr(self, name)
             if not value >= 0 or (name in ("r_n", "tau_n") and value == 0):

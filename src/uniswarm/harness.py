@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (CONTROLLERS, LEADER_CONSTANT, LEADER_DYNAMIC, LEADERLESS,
-                       ModelParams, Trajectory, run_epoch, sample_initial)
+                       ModelParams, Trajectory, _is_finite_number, _require_integer, run_epoch,
+                       sample_initial)
 from .metrics import (FAIL, EnvelopeAuditReport, RecursionAuditReport, RunPass, StepMetrics,
                       sync_detect, write_metrics_csv)
 # layer boundaries that perfbench/tracing.py wraps; run() computes their
@@ -40,6 +41,15 @@ class Obstacle:
 
     center: tuple[float, float] = (1.5, 0.5)
     semi_axes: tuple[float, float] = (0.4, 0.25)
+
+    def validate(self) -> None:
+        for name in ("center", "semi_axes"):
+            value = getattr(self, name)
+            if not (isinstance(value, tuple) and len(value) == 2
+                    and all(_is_finite_number(x) for x in value)):
+                raise ValueError(f"obstacle {name} must be two finite numbers, got {value!r}")
+        if not min(self.semi_axes) > 0:
+            raise ValueError(f"obstacle semi_axes must be positive, got {self.semi_axes!r}")
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         rel = (np.asarray(points, dtype=float) - np.asarray(self.center)) / np.asarray(self.semi_axes)
@@ -69,12 +79,16 @@ class RunConfig:
             raise ValueError(f"mode {self.mode!r} requires alpha_n > 0")
         if self.audit_level not in AUDIT_LEVELS:
             raise ValueError(f"audit_level must be one of {AUDIT_LEVELS}")
+        for name in ("steps", "seed", "substeps"):
+            _require_integer(name, getattr(self, name))
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
         if not math.isfinite(self.reference_heading):
             raise ValueError(f"reference_heading must be finite, got {self.reference_heading!r}")
+        if self.obstacle is not None:
+            self.obstacle.validate()
 
     def to_dict(self) -> dict:
         out = {
@@ -112,14 +126,15 @@ class RunConfig:
             obstacle = None
             if "obstacle" in data and data["obstacle"] is not None:
                 obs = data["obstacle"]
-                obstacle = Obstacle(center=tuple(obs["center"]),
-                                    semi_axes=tuple(obs["semi_axes"]))
-            config = cls(params=params, steps=int(data["steps"]), seed=int(data.get("seed", 0)),
+                # a JSON list becomes a tuple; anything else is left for validate() to name
+                obstacle = Obstacle(*(tuple(v) if isinstance(v, list) else v
+                                      for v in (obs["center"], obs["semi_axes"])))
+            config = cls(params=params, steps=data["steps"], seed=data.get("seed", 0),
                          mode=data.get("mode", LEADERLESS), schedule=schedule,
                          reference_heading=float(data.get("reference_heading", 0.0)),
                          outputs=data.get("outputs"),
                          audit_level=data.get("audit_level", "sampled"),
-                         substeps=int(data.get("substeps", 16)), obstacle=obstacle)
+                         substeps=data.get("substeps", 16), obstacle=obstacle)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid run config: {exc}") from exc
         try:
@@ -159,9 +174,55 @@ class RunResult:
         return self.envelope is not None and self.envelope.verdict == FAIL
 
 
+# glibc's mallopt() parameters, and the range of mmap thresholds
+# _raise_heap_thresholds() sets
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MIN, _MMAP_THRESHOLD_MAX = 4 << 20, 32 << 20
+_mmap_threshold = 0  # the mmap threshold last set; 0 before the first run
+
+
+def _raise_heap_thresholds(agents: int) -> None:
+    """Fixes glibc's malloc thresholds for the process to suit runs of
+    ``agents`` agents, raising them, never lowering them.
+
+    By default glibc raises its mmap threshold to the size of the largest
+    block freed so far, up to 32 MiB.  Once a block of a few MB has come
+    and gone, such as a run's exported CSV read back whole (about 6 MB at
+    m = 500), every smaller block comes from one heap, and how far that
+    heap grows depends on where each block happens to land.  Repeated
+    m = 500 runs in one process then peaked at one of three resident sizes
+    about 5 MB apart, the one taken differing from process to process.
+    Here the mmap threshold is 16 m^2 bytes, twice an m x m float64 array,
+    so that the per-instant arrays stay in the heap, but at least 4 MiB and
+    at most glibc's 32 MiB; blocks above it are mapped and unmapped on
+    their own.  The heap keeps up to twice the threshold free at its top,
+    the trim threshold glibc's own rule gives.  Where the C library has no
+    ``mallopt``, nothing changes.
+    """
+    global _mmap_threshold
+    threshold = min(max(_MMAP_THRESHOLD_MIN, 16 * agents * agents), _MMAP_THRESHOLD_MAX)
+    if threshold <= _mmap_threshold:
+        return
+    _mmap_threshold = threshold
+    import ctypes  # numpy has imported it already
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, threshold)
+    mallopt(_M_TRIM_THRESHOLD, 2 * threshold)
+
+
 def run(config: RunConfig, out_dir: str | Path | None = None) -> RunResult:
-    """Execute one run and (optionally) write all exports."""
+    """Execute one run and (optionally) write all exports.
+
+    The first run in a process fixes glibc's malloc thresholds, and a run
+    of more agents may raise them (see :func:`_raise_heap_thresholds`), so
+    that the memory of repeated runs depends less on where earlier blocks
+    landed."""
     config.validate()
+    _raise_heap_thresholds(config.params.total_count)
     started = time.time()
     params = config.params
     state = sample_initial(params, config.seed)

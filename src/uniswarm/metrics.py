@@ -189,17 +189,24 @@ def _envelope_integral(values_k: np.ndarray, values_k1: np.ndarray, tau: float,
 
     Per-agent signals are linear in t, so the envelope is piecewise linear
     and convex; the trapezoid rule on the substep grid over-estimates it,
-    which keeps the audit's right-hand side conservative.  The substeps are
-    taken one at a time in two (B, m) buffers.
+    which keeps the audit's right-hand side conservative.  The rows are laid
+    out agents-major, (m, B), so that each substep's max and min are
+    elementwise reductions over the m agents, vectorised across the B rows.
+    The (S+1, B) envelope is made contiguous as (B, S+1) before the
+    trapezoid, whose summation order, and so its last bits, follows the
+    layout of the axis it sums.
     """
     s = np.linspace(0.0, 1.0, substeps + 1)
-    envelope = np.empty((len(values_k), substeps + 1))
-    interp, term = np.empty(np.shape(values_k)), np.empty(np.shape(values_k))
+    a, b = np.ascontiguousarray(values_k.T), np.ascontiguousarray(values_k1.T)
+    envelope = np.empty((substeps + 1, len(values_k)))
+    interp, term = np.empty(a.shape), np.empty(a.shape)
+    low = np.empty(len(values_k))
     for i in range(substeps + 1):
-        np.multiply(1.0 - s[i], values_k, out=interp)
-        interp += np.multiply(s[i], values_k1, out=term)
-        np.subtract(interp.max(axis=1), interp.min(axis=1), out=envelope[:, i])
-    return np.trapezoid(envelope, dx=1.0 / substeps, axis=1) * tau
+        np.multiply(1.0 - s[i], a, out=interp)
+        interp += np.multiply(s[i], b, out=term)
+        np.maximum.reduce(interp, axis=0, out=envelope[i])
+        envelope[i] -= np.minimum.reduce(interp, axis=0, out=low)
+    return np.trapezoid(np.ascontiguousarray(envelope.T), dx=1.0 / substeps, axis=1) * tau
 
 
 @dataclass
@@ -220,9 +227,15 @@ class RecursionAuditReport:
                 "fail_count": self.fail_count, "max_violation": self.max_violation}
 
 
-# Instants per block of the envelope integrals: their (block, S+1)
-# envelopes stay small instead of growing with the trajectory length.
-_AUDIT_BLOCK = 128
+# Elements of one (m, block) buffer of the envelope integrals: blocks of
+# about 2**15 values (256 kB) keep the buffers in cache, and at least 128
+# rows keep the per-substep overhead small where m is large.
+_AUDIT_BLOCK_ELEMENTS = 2 ** 15
+
+
+def _audit_block(agents: int) -> int:
+    """Instants per block of the envelope integrals of an m-agent trajectory."""
+    return max(128, _AUDIT_BLOCK_ELEMENTS // max(agents, 1))
 
 
 def recursion_audit(traj: Trajectory, substep_count: int = 16) -> RecursionAuditReport:
@@ -247,8 +260,9 @@ def _recursion_audit(traj: Trajectory, substep_count: int,
     speeds, headings = traj.speeds, traj.headings
     int_dv = np.empty(steps)
     int_dth = np.empty(steps)
-    for start in range(0, steps, _AUDIT_BLOCK):
-        stop = min(start + _AUDIT_BLOCK, steps)
+    block = _audit_block(speeds.shape[1])
+    for start in range(0, steps, block):
+        stop = min(start + block, steps)
         k, k1 = slice(start, stop), slice(start + 1, stop + 1)
         int_dv[k] = _envelope_integral(speeds[k], speeds[k1], tau, substep_count)
         int_dth[k] = _envelope_integral(headings[k], headings[k1], tau, substep_count)

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from uniswarm import ModelParams, RunConfig
-from uniswarm.cli import EXIT_CONFIG, EXIT_OK, _parse_seeds, main
+from uniswarm import cli
+from uniswarm.cli import EXIT_AUDIT_FAIL, EXIT_CONFIG, EXIT_ERROR, EXIT_OK, _parse_seeds, main
 
 
 @pytest.fixture
@@ -82,17 +83,73 @@ def test_malformed_config_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("field, value", [
     ("n", 10.5), ("n", True), ("n", "ten"), ("v_n", float("inf")), ("r_n", float("-inf")),
     ("tau_n", float("nan")), ("eta_n", float("nan")), ("c", float("nan")),
-    ("c_prime", float("inf")), ("epsilon", "0.05"), ("reference_heading", float("nan"))])
+    ("c_prime", float("inf")), ("epsilon", "0.05"), ("reference_heading", float("nan")),
+    ("steps", 10.5), ("steps", True), ("steps", "3"), ("seed", 1.7), ("seed", False),
+    ("substeps", 2.5), ("substeps", None), ("self_inclusive", "no"), ("self_inclusive", 1)])
 def test_config_field_of_wrong_type_or_not_finite_exits_2(tmp_path, capsys, field, value):
     # json.dumps writes nan and inf as NaN and Infinity, which json.load reads back
     config = {"params": {"n": 8, "r_n": 0.5, "v_n": 0.05, "tau_n": 0.01}, "steps": 3}
-    (config if field == "reference_heading" else config["params"])[field] = value
+    top_level = field in ("reference_heading", "steps", "seed", "substeps")
+    (config if top_level else config["params"])[field] = value
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field} must be ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("obstacle, field", [
+    ({"center": [1], "semi_axes": [0.4, 0.25]}, "center"),
+    ({"center": [1.5, 0.5, 0.0], "semi_axes": [0.4, 0.25]}, "center"),
+    ({"center": 1.5, "semi_axes": [0.4, 0.25]}, "center"),
+    ({"center": [1.5, float("nan")], "semi_axes": [0.4, 0.25]}, "center"),
+    ({"center": ["1.5", 0.5], "semi_axes": [0.4, 0.25]}, "center"),
+    ({"center": [1.5, 0.5], "semi_axes": [0, 0]}, "semi_axes"),
+    ({"center": [1.5, 0.5], "semi_axes": [0.4, -0.25]}, "semi_axes"),
+    ({"center": [1.5, 0.5], "semi_axes": [0.4, float("inf")]}, "semi_axes"),
+    ({"center": [1.5, 0.5], "semi_axes": [0.4]}, "semi_axes")])
+def test_malformed_obstacle_exits_2(tmp_path, capsys, obstacle, field):
+    config = {"params": {"n": 8, "r_n": 0.5, "v_n": 0.05, "tau_n": 0.01}, "steps": 3,
+              "obstacle": obstacle}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: obstacle {field} must be ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("error", [MemoryError("Unable to allocate 7.28 TiB for an array"),
+                                   TypeError("unsupported operand\ntype(s)")])
+def test_unexpected_error_exits_3_with_one_line(config_path, tmp_path, capsys, monkeypatch,
+                                                error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "run", fail)
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {type(error).__name__}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_audit_of_tampered_run_exits_1(tmp_path, config_path, capsys):
+    out = tmp_path / "r"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
+    # teleport agent 0 at k = 5 in the CSV, which the audit then reads,
+    # since the file no longer hashes to the digest in run_meta.json
+    path = out / "trajectory.csv"
+    rows = path.read_text().splitlines(keepends=True)
+    index = next(i for i, row in enumerate(rows) if row.startswith("5,") and
+                 row.split(",")[2] == "0")
+    cells = rows[index].split(",")
+    cells[4] = repr(float(cells[4]) + 0.5)
+    rows[index] = ",".join(cells)
+    path.write_text("".join(rows))
+    capsys.readouterr()
+    assert main(["audit", "--traj", str(out)]) == EXIT_AUDIT_FAIL
+    assert json.loads(capsys.readouterr().out)["recursion_fail_count"] == 2
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

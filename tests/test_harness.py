@@ -106,6 +106,49 @@ def test_run_two_agent_sync_at_step_one():
         assert result.sync_index == 1
 
 
+class _FakeLibc:
+    def __init__(self, calls):
+        self.calls = calls
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def test_runs_raise_heap_thresholds_only_when_the_swarm_needs_more(monkeypatch):
+    import ctypes
+
+    calls = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: _FakeLibc(calls))
+    monkeypatch.setattr(harness, "_mmap_threshold", 0)
+    first = run(_leaderless_config(steps=3))
+    second = run(_leaderless_config(steps=3))
+    # M_MMAP_THRESHOLD = -3 at 4 MiB, M_TRIM_THRESHOLD = -1 at twice that
+    assert calls == [(-3, 4 << 20), (-1, 8 << 20)]
+    expected = repr(run(_leaderless_config(steps=3)).metrics)  # nan rows compare by repr
+    assert repr(first.metrics) == repr(second.metrics) == expected
+    # 16 m^2 bytes from m = 513 on, capped at 32 MiB; never lowered
+    for agents in (600, 100, 1448, 1449, 5000):
+        harness._raise_heap_thresholds(agents)
+    assert calls[2:] == [(-3, 5_760_000), (-1, 11_520_000), (-3, 33_547_264),
+                         (-1, 67_094_528), (-3, 32 << 20), (-1, 64 << 20)]
+
+
+@pytest.mark.parametrize("error", [AttributeError, OSError, TypeError])
+def test_run_without_mallopt_runs_unchanged(monkeypatch, error):
+    import ctypes
+
+    def no_mallopt(name):
+        if error is AttributeError:
+            return object()  # a C library without mallopt
+        raise error("no C library to load")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_mallopt)
+    monkeypatch.setattr(harness, "_mmap_threshold", 0)
+    result = run(_leaderless_config(steps=3))
+    assert repr(result.metrics) == repr(run(_leaderless_config(steps=3)).metrics)
+
+
 def test_load_trajectory_roundtrip(tmp_path):
     cfg = _leaderless_config(seed=7)
     result = run(cfg, out_dir=tmp_path)

@@ -12,8 +12,8 @@ from uniswarm import graphs, load_trajectory, metrics
 from uniswarm.dynamics import LEADER_CONSTANT, LEADER_DYNAMIC, LEADERLESS, SwarmState
 from uniswarm.graphs import (averaging_matrix, averaging_rows, leader_fractions,
                              pairwise_distances, ring_sets)
-from uniswarm.metrics import (_AUDIT_BLOCK, FAIL, PASS, REPORT, SKIP, EnvelopeAuditReport,
-                              StepMetrics, _envelope_integral, write_metrics_csv)
+from uniswarm.metrics import (FAIL, PASS, REPORT, SKIP, EnvelopeAuditReport, StepMetrics,
+                              _audit_block, _envelope_integral, write_metrics_csv)
 
 from conftest import envelope_integral_oracle, make_state, matrix_deviation
 
@@ -188,7 +188,7 @@ def _oracle_recursion_audit(traj, substep_count=16):
     dist_k = pairwise_distances(traj.positions[0])
     for k in range(traj.n_steps):
         dist_k1 = pairwise_distances(traj.positions[k + 1])
-        lhs = float(np.abs(dist_k1 - dist_k).max())
+        lhs = float(np.abs(dist_k1 - dist_k).max(initial=0.0))
         int_dv = _oracle_envelope_integral(traj.speeds[k], traj.speeds[k + 1], tau,
                                            substep_count)
         int_dth = _oracle_envelope_integral(traj.headings[k], traj.headings[k + 1], tau,
@@ -216,19 +216,59 @@ def _assert_matches_oracle(traj, substep_count=16):
     return rep
 
 
-def _random_trajectory(seed, steps):
+def _random_trajectory(seed, steps, m=None):
     rng = np.random.default_rng(seed)
-    m = int(rng.integers(2, 30))
+    drawn = int(rng.integers(2, 30))
+    m = drawn if m is None else m
     params = ModelParams(n=m, r_n=float(rng.uniform(0.2, 0.6)), v_n=float(rng.uniform(0.0, 0.3)),
                          tau_n=float(rng.uniform(0.005, 0.05)))
     return run_epoch(sample_initial(params, seed), params, steps)
 
 
-@pytest.mark.parametrize("steps", [1, _AUDIT_BLOCK - 1, _AUDIT_BLOCK, _AUDIT_BLOCK + 1,
-                                   3 * _AUDIT_BLOCK + 57])
+# Elements per audit block buffer, small enough that a few hundred steps
+# cross block boundaries; the library's rule needs 10^4-10^5 steps at m = 1, 2.
+_SMALL_BLOCK_ELEMENTS = 2 ** 10
+
+
+@pytest.mark.parametrize("steps", [1, 127, 128, 129, 441])
 @pytest.mark.parametrize("seed", range(3))
 def test_recursion_audit_matches_per_step_oracle(seed, steps):
     _assert_matches_oracle(_random_trajectory(seed, steps))
+
+
+@pytest.mark.parametrize("m, elements", [(1, _SMALL_BLOCK_ELEMENTS), (2, _SMALL_BLOCK_ELEMENTS),
+                                         (23, None), (130, None), (130, _SMALL_BLOCK_ELEMENTS)])
+@pytest.mark.parametrize("substeps", [1, 16, 128])
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 57)])
+def test_recursion_audit_matches_per_step_oracle_at_block_boundaries(monkeypatch, m, elements,
+                                                                     substeps, blocks, extra):
+    if elements is not None:
+        monkeypatch.setattr(metrics, "_AUDIT_BLOCK_ELEMENTS", elements)
+    steps = blocks * _audit_block(m) + extra
+    _assert_matches_oracle(_random_trajectory(m + substeps, steps, m=m), substeps)
+
+
+def test_audit_block_rule():
+    assert [_audit_block(m) for m in (1, 2, 23, 130, 256, 500)] == [32768, 16384, 1424, 252, 128,
+                                                                   128]
+
+
+@pytest.mark.parametrize("m", [1, 2, 9, 17, 23, 130])
+def test_recursion_audit_signed_zero_swarm_matches_oracle(monkeypatch, m):
+    # a swarm at rest whose headings and speeds are all +0 or -0: every
+    # integral, and so every slack, must carry the oracle's sign
+    monkeypatch.setattr(metrics, "_AUDIT_BLOCK_ELEMENTS", _SMALL_BLOCK_ELEMENTS)
+    steps = 2 * _audit_block(m) + 5
+    traj = _random_trajectory(m, steps, m=m)
+    rng = np.random.default_rng(m)
+    traj.positions[:] = traj.positions[0]
+    for values in (traj.headings, traj.speeds):
+        values[:] = np.where(rng.random(values.shape) < 0.5, -0.0, 0.0)
+    rep = recursion_audit(traj)
+    verdicts, slacks, _, _ = _oracle_recursion_audit(traj)
+    assert rep.verdicts == verdicts and not slacks.any()
+    assert np.array_equal(rep.slacks, slacks)
+    assert np.array_equal(np.signbit(rep.slacks), np.signbit(slacks))
 
 
 @pytest.mark.parametrize("substeps", [1, 3, 16, 128])
@@ -237,15 +277,15 @@ def test_recursion_audit_matches_oracle_across_substeps(substeps):
 
 
 def test_recursion_audit_fails_tampered_trajectory_like_oracle():
-    traj = _random_trajectory(11, _AUDIT_BLOCK + 10)
+    block = _audit_block(23)
+    traj = _random_trajectory(11, block + 10, m=23)
     # teleport one agent at two instants, one in each block: distances jump
     # while speeds and headings stay put, so the right-hand side cannot cover it
-    for k in (5, _AUDIT_BLOCK + 3):
+    for k in (5, block + 3):
         traj.positions[k, 0] += 0.5
     rep = _assert_matches_oracle(traj)
     assert rep.fail_count == 4
-    assert [k for k, v in enumerate(rep.verdicts) if v == FAIL] == \
-        [4, 5, _AUDIT_BLOCK + 2, _AUDIT_BLOCK + 3]
+    assert [k for k, v in enumerate(rep.verdicts) if v == FAIL] == [4, 5, block + 2, block + 3]
     assert rep.max_violation > 0.4
 
 
