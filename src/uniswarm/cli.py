@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 when a proof-inequality audit fails, 2 on a
 configuration error, 3 on any other error (such as a swarm or a run too
 large to allocate), each error reported in one line on stderr.  The output
-directory can be overridden with the UNISWARM_OUT environment variable.
+directory is ``--out``, else the UNISWARM_OUT environment variable, else (for
+``run``) the config's ``outputs``, else a default under ``runs/``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def _cmd_run(args) -> int:
     config = RunConfig.from_json(args.config)
     if args.seed is not None:
         config.seed = args.seed
-    out = _out_dir(args.out, "runs/run")
+    out = _out_dir(args.out, config.outputs or "runs/run")
     result = run(config, out_dir=out)
     print(f"run complete: {config.steps} steps, seed {config.seed}, outputs in {out}")
     if result.recursion is not None:

@@ -40,11 +40,26 @@ def _require_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _is_finite_number(value) -> bool:
+def _require_finite(name: str, value) -> None:
+    """Raises ValueError unless ``value`` is a finite real number, not a bool
+    and not a string."""
     try:
-        return math.isfinite(value)
+        finite = not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
     except TypeError:
-        return False
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _require_bool(name: str, value) -> None:
+    """Raises ValueError unless ``value`` is true or false."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
+# the largest dwell time whose square, which the closed-form positions
+# multiply by, is finite: about 1.34e154
+_TAU_N_MAX = math.sqrt(np.finfo(float).max)
 
 
 @dataclass
@@ -92,16 +107,16 @@ class ModelParams:
             raise ValueError(f"n must be >= 1, got {self.n}")
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
-            if name == "eta_n" and value is None:
-                continue
-            if not _is_finite_number(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if not isinstance(self.self_inclusive, (bool, np.bool_)):
-            raise ValueError(f"self_inclusive must be true or false, got {self.self_inclusive!r}")
+            if name != "eta_n" or value is not None:
+                _require_finite(name, value)
+        _require_bool("self_inclusive", self.self_inclusive)
         for name in ("r_n", "v_n", "tau_n"):
             value = getattr(self, name)
             if not value >= 0 or (name in ("r_n", "tau_n") and value == 0):
                 raise ValueError(f"{name} must be positive, got {value}")
+        if self.tau_n > _TAU_N_MAX:
+            raise ValueError(f"tau_n must be at most {_TAU_N_MAX:.4g}, above which its square "
+                             f"overflows, got {self.tau_n}")
         if not 0 <= self.alpha_n <= 1:
             raise ValueError(f"alpha_n must be in [0, 1], got {self.alpha_n}")
         if not 0 <= self.vartheta <= 1:
@@ -490,10 +505,10 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
                                                  state.sample_index + j))
 
     sweep = GraphSweep(params.r_n, params.self_inclusive)
-    graph = sweep.advance(positions[0])
+    graph, distances = next(sweep.runs(positions[:1]))
     connected[0] = is_connected = connectivity(graph)
     if observer is not None:
-        observer(graph, sweep.distances[None])
+        observer(graph, distances)
     if controller == LEADER_DYNAMIC:
         switched(0)
 

@@ -193,7 +193,6 @@ class GraphSweep:
         self.self_inclusive = self_inclusive
         self.graph: ProximityGraph | None = None  # the graph of the last instant taken
         self._pairs: np.ndarray | None = None  # the condensed adjacency of ``graph``
-        self.distances: np.ndarray | None = None  # condensed distances of the last advance()
         # per agent count m: the flat indices i*m + j and j*m + i of the pairs i < j
         self._scatter: tuple[int, np.ndarray, np.ndarray] | None = None
 
@@ -246,14 +245,6 @@ class GraphSweep:
                     stop = stop + int(changed[0]) if len(changed) else n
                 yield self.graph, distances[start:stop]
                 start = stop
-
-    def advance(self, positions: np.ndarray) -> ProximityGraph:
-        """The graph of ``positions``, the next instant's agent positions: the
-        one-instant case of :meth:`runs`.  Its condensed distances are left
-        in :attr:`distances`."""
-        graph, distances = next(self.runs(_shaped_positions(positions)[None]))
-        self.distances = distances[0]
-        return graph
 
 
 def connectivity(graph: ProximityGraph) -> bool:

@@ -8,7 +8,6 @@ seed and aggregate.  All JSON outputs carry a ``schema_version`` field.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (CONTROLLERS, LEADER_CONSTANT, LEADER_DYNAMIC, LEADERLESS,
-                       ModelParams, Trajectory, _is_finite_number, _require_integer, run_epoch,
+                       ModelParams, Trajectory, _require_finite, _require_integer, run_epoch,
                        sample_initial)
 from .metrics import (FAIL, EnvelopeAuditReport, RecursionAuditReport, RunPass, StepMetrics,
                       sync_detect, write_metrics_csv)
@@ -42,12 +41,19 @@ class Obstacle:
     center: tuple[float, float] = (1.5, 0.5)
     semi_axes: tuple[float, float] = (0.4, 0.25)
 
+    def __post_init__(self) -> None:
+        # a list, as JSON gives, becomes a tuple, so that obstacles compare by value
+        for name in ("center", "semi_axes"):
+            if isinstance(getattr(self, name), list):
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+
     def validate(self) -> None:
         for name in ("center", "semi_axes"):
             value = getattr(self, name)
-            if not (isinstance(value, tuple) and len(value) == 2
-                    and all(_is_finite_number(x) for x in value)):
+            if not (isinstance(value, tuple) and len(value) == 2):
                 raise ValueError(f"obstacle {name} must be two finite numbers, got {value!r}")
+            for x in value:
+                _require_finite(f"obstacle {name}", x)
         if not min(self.semi_axes) > 0:
             raise ValueError(f"obstacle semi_axes must be positive, got {self.semi_axes!r}")
 
@@ -70,23 +76,17 @@ class RunConfig:
     obstacle: Obstacle | None = None
 
     def validate(self) -> None:
-        self.params.validate()
-        if self.mode not in CONTROLLERS:
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == LEADER_DYNAMIC and self.schedule is None:
             raise ValueError("dynamic mode requires a schedule")
-        if self.mode != LEADERLESS and self.params.leader_count == 0:
-            raise ValueError(f"mode {self.mode!r} requires alpha_n > 0")
+        _validate_run_fields(self.params, self.steps, self.mode, self.reference_heading)
         if self.audit_level not in AUDIT_LEVELS:
             raise ValueError(f"audit_level must be one of {AUDIT_LEVELS}")
-        for name in ("steps", "seed", "substeps"):
+        for name in ("seed", "substeps"):
             _require_integer(name, getattr(self, name))
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
-        if not math.isfinite(self.reference_heading):
-            raise ValueError(f"reference_heading must be finite, got {self.reference_heading!r}")
+        if self.outputs is not None and not isinstance(self.outputs, (str, Path)):
+            raise ValueError(f"outputs must be a directory path, got {self.outputs!r}")
         if self.obstacle is not None:
             self.obstacle.validate()
 
@@ -114,30 +114,22 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        """The config that the JSON object ``data`` describes, validated; a
+        value of the wrong type is an error, never converted."""
         try:
-            params = ModelParams(**data["params"])
-            schedule = None
-            if "schedule" in data and data["schedule"] is not None:
-                sched = data["schedule"]
+            schedule = obstacle = None
+            if (sched := _section(data, "schedule", required=False)) is not None:
                 schedule = ReferenceSchedule(
-                    headings=[float(h) for h in sched["headings"]],
-                    epsilon=float(sched.get("epsilon", 0.05)),
-                    restrict_to_followers=bool(sched.get("restrict_to_followers", False)))
-            obstacle = None
-            if "obstacle" in data and data["obstacle"] is not None:
-                obs = data["obstacle"]
-                # a JSON list becomes a tuple; anything else is left for validate() to name
-                obstacle = Obstacle(*(tuple(v) if isinstance(v, list) else v
-                                      for v in (obs["center"], obs["semi_axes"])))
-            config = cls(params=params, steps=data["steps"], seed=data.get("seed", 0),
+                    headings=sched.get("headings"), epsilon=sched.get("epsilon", 0.05),
+                    restrict_to_followers=sched.get("restrict_to_followers", False))
+            if (obs := _section(data, "obstacle", required=False)) is not None:
+                obstacle = Obstacle(obs.get("center"), obs.get("semi_axes"))
+            config = cls(params=_params(data), steps=data.get("steps"), seed=data.get("seed", 0),
                          mode=data.get("mode", LEADERLESS), schedule=schedule,
-                         reference_heading=float(data.get("reference_heading", 0.0)),
+                         reference_heading=data.get("reference_heading", 0.0),
                          outputs=data.get("outputs"),
                          audit_level=data.get("audit_level", "sampled"),
                          substeps=data.get("substeps", 16), obstacle=obstacle)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid run config: {exc}") from exc
-        try:
             config.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -155,6 +147,41 @@ class RunConfig:
 
 class ConfigError(ValueError):
     """Config file is malformed or inconsistent."""
+
+
+def _section(data: dict, name: str, required: bool = True) -> dict | None:
+    """``data[name]``, which must be a JSON object, or None when it is not
+    ``required`` and missing or null; ValueError naming ``name`` otherwise."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    section = data.get(name)
+    if section is None and not required:
+        return None
+    if not isinstance(section, dict):
+        raise ValueError(f"{name} must be a JSON object, got {section!r}")
+    return section
+
+
+def _params(data: dict) -> ModelParams:
+    """The model parameters of a run config or a stored run's metadata."""
+    try:
+        return ModelParams(**_section(data, "params"))
+    except TypeError as exc:  # a parameter missing or unknown
+        raise ValueError(f"params: {exc}") from None
+
+
+def _validate_run_fields(params: ModelParams, steps, mode, reference_heading) -> None:
+    """Checks the fields that a run config shares with a stored run's
+    ``run_meta.json``: ValueError naming the first that is invalid."""
+    params.validate()
+    if mode not in CONTROLLERS:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode != LEADERLESS and params.leader_count == 0:
+        raise ValueError(f"mode {mode!r} requires alpha_n > 0")
+    _require_integer("steps", steps)
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    _require_finite("reference_heading", reference_heading)
 
 
 @dataclass
@@ -360,7 +387,9 @@ def write_trajectory_csv(traj: Trajectory, path) -> str:
 def load_trajectory(run_dir) -> Trajectory:
     """Rebuild a trajectory record from a stored run directory.
 
-    When ``run_meta.json`` holds ``trajectory_sha256`` and both
+    The ``params``, ``steps``, ``mode`` and ``reference_heading`` read from
+    ``run_meta.json`` are checked as a run config's are, and an invalid one
+    raises ``ValueError`` naming it.  When ``run_meta.json`` holds ``trajectory_sha256`` and both
     ``trajectory.csv`` and ``trajectory.npy`` still hash to it, the values
     are read from ``trajectory.npy``, which must then be float64 of shape
     (steps + 1, n + leader_count, 4) or ``ValueError`` is raised; the
@@ -368,13 +397,21 @@ def load_trajectory(run_dir) -> Trajectory:
     places them.  In every other case (no such key, no ``.npy``, either file
     changed since it was written) ``trajectory.csv`` is parsed: it must carry
     exactly the header ``write_trajectory_csv`` writes and one row per
-    (k, agent) for k in 0..steps and agent in 0..m-1, in any order; anything
-    else raises ``ValueError``.
+    (k, agent) for k in 0..steps and agent in 0..m-1, in any order, with
+    as many agents and leaders as the params give; anything else raises
+    ``ValueError``.
     """
     run_dir = Path(run_dir)
-    with open(run_dir / "run_meta.json") as fh:
+    path = run_dir / "run_meta.json"
+    with open(path) as fh:
         meta = json.load(fh)
-    params = ModelParams(**meta["params"])
+    try:
+        params = _params(meta)
+        mode = meta.get("mode", LEADERLESS)
+        reference_heading = meta.get("reference_heading", 0.0)
+        _validate_run_fields(params, meta.get("steps"), mode, reference_heading)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     cached = _cached_values(run_dir, meta, params)
     if cached is not None:
         positions = np.ascontiguousarray(cached[..., :2])
@@ -383,13 +420,17 @@ def load_trajectory(run_dir) -> Trajectory:
         leader_mask = np.arange(params.total_count) >= params.n
     else:
         positions, headings, speeds, leader_mask = _parse_trajectory_csv(run_dir, meta)
+        counts = (len(leader_mask), int(leader_mask.sum()))
+        if counts != (params.total_count, params.leader_count):
+            raise ValueError(f"{run_dir / 'trajectory.csv'}: {counts[0]} agents, {counts[1]} of "
+                             f"them leaders, where {path} gives {params.total_count} and "
+                             f"{params.leader_count}")
     n_instants = len(positions)
 
-    mode = meta.get("mode", LEADERLESS)
     steps = n_instants - 1
     refs = np.full(steps, np.nan)
     if mode == LEADER_CONSTANT:
-        refs[:] = meta.get("reference_heading", 0.0)
+        refs[:] = reference_heading
     # connectivity is not stored in trajectory.csv, and no audit reads it
     connected = np.zeros(n_instants, dtype=bool)
     return Trajectory(times=np.arange(n_instants) * params.tau_n, positions=positions,
@@ -410,7 +451,7 @@ def _cached_values(run_dir: Path, meta: dict, params: ModelParams) -> np.ndarray
            for name in ("trajectory.csv", "trajectory.npy")):
         return None
     values = np.load(npy, allow_pickle=False)
-    shape = (int(meta["steps"]) + 1, params.total_count, 4)
+    shape = (meta["steps"] + 1, params.total_count, 4)
     if values.dtype != np.float64 or values.shape != shape:
         raise ValueError(f"{npy}: {values.dtype} array of shape {values.shape}, "
                          f"expected float64 of shape {shape}")
@@ -430,7 +471,7 @@ def _parse_trajectory_csv(run_dir: Path, meta: dict) -> tuple[np.ndarray, ...]:
     # numpy's C parser; columns by position: k, agent, x, y, theta, v
     data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 2, 4, 5, 6, 7), ndmin=2)
     ks, agents = data[:, 0].astype(int), data[:, 1].astype(int)
-    n_instants = int(meta.get("steps", ks.max())) + 1
+    n_instants = meta["steps"] + 1
     m = int(agents.max()) + 1
     in_grid = ((ks == data[:, 0]) & (agents == data[:, 1]) & (ks >= 0) & (ks < n_instants)
                & (agents >= 0))

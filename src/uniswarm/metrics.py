@@ -52,7 +52,8 @@ class MetricsBaseline:
 def metrics_baseline(initial: SwarmState, params: ModelParams) -> MetricsBaseline:
     """Computes the k = 0 quantities once per run."""
     sweep = GraphSweep(params.r_n, params.self_inclusive)
-    return _baseline(initial, sweep.advance(initial.positions), sweep.distances)
+    graph, distances = next(sweep.runs(initial.positions[None]))
+    return _baseline(initial, graph, distances[0])
 
 
 def _baseline(initial: SwarmState, graph: ProximityGraph,
@@ -78,8 +79,8 @@ def step_metrics(state: SwarmState, baseline: MetricsBaseline,
                             np.array([reference_heading]), np.array([reference_speed]))
     delta_theta, delta_v, tracking_theta, tracking_v = (float(c[0]) for c in columns)
     sweep = GraphSweep(baseline.graph.radius, baseline.graph.self_inclusive)
-    graph = sweep.advance(state.positions)
-    distances = sweep.distances
+    graph, distances = next(sweep.runs(state.positions[None]))
+    distances = distances[0]
     drift = float(_max_abs_difference(distances, baseline.distances, out=distances))
     alpha_drift, _ = _leader_terms(graph, baseline)
     return StepMetrics(k=state.sample_index, delta_theta=delta_theta, delta_v=delta_v,

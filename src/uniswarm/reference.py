@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dynamics import _require_bool, _require_finite
+
 
 @dataclass
 class ReferenceSchedule:
@@ -23,12 +25,15 @@ class ReferenceSchedule:
     last_switch_index: int = -1
 
     def __post_init__(self) -> None:
-        if not self.headings:
-            raise ValueError("schedule needs at least one desired heading")
+        if not isinstance(self.headings, (list, tuple)) or not self.headings:
+            raise ValueError(f"schedule headings must be a list of at least one desired heading, "
+                             f"got {self.headings!r}")
+        for i, heading in enumerate(self.headings):
+            _require_finite(f"schedule headings[{i}]", heading)
+        _require_finite("schedule epsilon", self.epsilon)
         if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not np.all(np.isfinite(self.headings)):
-            raise ValueError("desired headings must be finite")
+            raise ValueError(f"schedule epsilon must be positive, got {self.epsilon}")
+        _require_bool("schedule restrict_to_followers", self.restrict_to_followers)
 
     @property
     def jumps(self) -> np.ndarray:

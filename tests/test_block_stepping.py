@@ -34,7 +34,7 @@ def _oracle_run_epoch(state, params, steps, controller=LEADERLESS, schedule=None
     pairs = np.triu_indices(m, 1)
     graph = None
     for k in range(steps + 1):
-        previous, graph = graph, sweep.advance(current.positions)
+        previous, (graph, _) = graph, next(sweep.runs(current.positions[None]))
         if graph is not previous:
             is_connected = connectivity(graph)
         connected[k] = is_connected
@@ -406,7 +406,7 @@ def test_non_finite_position_inside_a_chunk_raises():
             run_epoch(state, p, 30, integration_check="off", observer=observe)
         overflow = np.array([[0.0, 0.0], [np.inf, 0.0], [1.8e308 * 0.5, 0.1]])
         with pytest.raises(ValueError) as per_instant:
-            GraphSweep(p.r_n).advance(overflow)
+            next(GraphSweep(p.r_n).runs(overflow[None]))
     assert str(raised.value) == str(per_instant.value)
     # the chunks before the one holding the overflow were committed
     assert len(seen) == 9

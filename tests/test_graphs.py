@@ -273,16 +273,16 @@ def test_sparse_spectral_solver_failure_is_spectral_error(monkeypatch):
 def test_graph_sweep_reuses_the_unchanged_graph():
     pos = np.array([[0.0, 0.0], [0.2, 0.0], [0.5, 0.0]])
     sweep = GraphSweep(0.3)
-    first = sweep.advance(pos)
-    assert np.array_equal(sweep.distances, pairwise_distances(pos)[np.triu_indices(3, 1)])
-    assert sweep.advance(pos + 0.01) is first  # same neighbor sets
+    first, distances = next(sweep.runs(pos[None]))
+    assert np.array_equal(distances[0], pairwise_distances(pos)[np.triu_indices(3, 1)])
+    assert next(sweep.runs(pos[None] + 0.01))[0] is first  # same neighbor sets
     moved = pos.copy()
     moved[2, 0] = 0.45  # 2 joins 1: B
-    second = sweep.advance(moved)
+    second, _ = next(sweep.runs(moved[None]))
     assert second is not first
     assert np.array_equal(second.adjacency, build_graph(moved, 0.3).adjacency)
     assert np.array_equal(second.degrees, build_graph(moved, 0.3).degrees)
-    third = sweep.advance(pos)  # back to A: a new object equal to the first
+    third, _ = next(sweep.runs(pos[None]))  # back to A: a new object equal to the first
     assert third is not second and third is not first
     assert np.array_equal(third.adjacency, first.adjacency)
 
@@ -294,7 +294,7 @@ def test_graph_sweep_matches_build_graph(self_inclusive):
     sweep = GraphSweep(0.3, self_inclusive)
     for _ in range(20):
         pos = pos + rng.normal(scale=0.02, size=pos.shape)
-        got, want = sweep.advance(pos), build_graph(pos, 0.3, self_inclusive)
+        (got, _), want = next(sweep.runs(pos[None])), build_graph(pos, 0.3, self_inclusive)
         assert np.array_equal(got.adjacency, want.adjacency)
         assert np.array_equal(got.degrees, want.degrees)
         assert (got.radius, got.self_inclusive) == (want.radius, want.self_inclusive)
@@ -305,9 +305,9 @@ def test_graph_sweep_input_validation():
         GraphSweep(0.0)
     sweep = GraphSweep(0.3)
     with pytest.raises(ValueError, match="finite"):
-        sweep.advance(np.array([[0.0, np.inf], [0.1, 0.1]]))
+        next(sweep.runs(np.array([[0.0, np.inf], [0.1, 0.1]])[None]))
     with pytest.raises(ValueError, match="shape"):
-        sweep.advance(np.zeros((3, 3)))
+        next(sweep.runs(np.zeros((3, 3))[None]))
 
 
 @pytest.mark.parametrize("instants", [1, 3, None])
@@ -319,7 +319,10 @@ def test_graph_sweep_runs_match_per_instant_advance(monkeypatch, instants, self_
     if instants is not None:
         monkeypatch.setattr(graphs, "_CHUNK_BYTES", instants * 8 * (20 * 19 // 2))
     want_sweep = GraphSweep(0.3, self_inclusive)
-    want = [(want_sweep.advance(x), want_sweep.distances.copy()) for x in positions]
+    want = []
+    for x in positions:  # one instant at a time
+        graph, distances = next(want_sweep.runs(x[None]))
+        want.append((graph, distances[0]))
     sweep = GraphSweep(0.3, self_inclusive)
     got = [(graph, d) for graph, run in sweep.runs(positions) for d in run]
     assert len(got) == len(want)
@@ -397,8 +400,8 @@ def test_distance_chunks_and_sweep_match_the_dense_matrices(positions, instants,
 def test_sweep_pair_at_exactly_the_radius_is_no_edge():
     positions = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
     sweep = GraphSweep(5.0)
-    graph = sweep.advance(positions)
-    assert sweep.distances[0] == 5.0  # the pair (0, 1)
+    graph, distances = next(sweep.runs(positions[None]))
+    assert distances[0, 0] == 5.0  # the pair (0, 1)
     assert not graph.adjacency[0, 1] and not graph.adjacency[1, 0]
     assert graph.adjacency[0, 2] and graph.adjacency[1, 2]
     assert np.array_equal(graph.adjacency, build_graph(positions, 5.0).adjacency)
@@ -414,8 +417,8 @@ def test_sweep_adjacency_equals_squareform_at_every_agent_count(self_inclusive):
     sweep = GraphSweep(0.15, self_inclusive)
     for m in (1, 2, 63, 64, 130, 500, 63):
         positions = np.random.default_rng(m).random((m, 2))
-        graph = sweep.advance(positions)
-        want = squareform(sweep.distances < 0.15, checks=False)
+        graph, distances = next(sweep.runs(positions[None]))
+        want = squareform(distances[0] < 0.15, checks=False)
         np.fill_diagonal(want, self_inclusive)
         assert graph.adjacency.dtype == bool
         assert np.array_equal(graph.adjacency, want)

@@ -201,6 +201,18 @@ def test_load_trajectory_rejects_incomplete_grid(tmp_path, damage):
         load_trajectory(tmp_path)
 
 
+@pytest.mark.parametrize("params", [{"n": 4}, {"alpha_n": 0.5}])
+def test_load_trajectory_rejects_csv_of_other_agent_counts_than_params(tmp_path, params):
+    run(_leaderless_config(steps=6), out_dir=tmp_path)
+    (tmp_path / "trajectory.npy").unlink()
+    meta_path = tmp_path / "run_meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["params"].update(params)
+    meta_path.write_text(json.dumps(meta, indent=1))
+    with pytest.raises(ValueError, match="trajectory.csv: 10 agents, 0 of them leaders"):
+        load_trajectory(tmp_path)
+
+
 def test_load_trajectory_rejects_reordered_header(tmp_path):
     header, rows = _stored_rows(tmp_path)
     assert header == "k,t,agent,role,x,y,theta,v\n"

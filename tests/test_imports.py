@@ -1,4 +1,4 @@
-"""Which scipy modules the library loads, each case in a fresh interpreter."""
+"""Which modules the library loads, each case in a fresh interpreter."""
 
 import json
 import subprocess
@@ -82,3 +82,21 @@ def test_import_and_runs_without_export_do_not_import_hashlib():
     # the library
     assert len(importers) == 1
     assert not Path(importers[0]).resolve().is_relative_to(SRC / "uniswarm")
+
+
+# Prints the top-level modules that `import uniswarm` adds to those numpy loads.
+_IMPORT_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy
+before = {name.split(".")[0] for name in sys.modules}
+import uniswarm
+print(" ".join(sorted({name.split(".")[0] for name in sys.modules} - before)))
+"""
+
+
+def test_import_adds_only_these_modules_to_numpy():
+    # every module added here is paid for by each command's start-up time
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT, str(SRC)],
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert proc.stdout.split() == ["__future__", "_json", "copy", "dataclasses", "json", "uniswarm"]
