@@ -117,6 +117,11 @@ class ModelParams:
         if self.tau_n > _TAU_N_MAX:
             raise ValueError(f"tau_n must be at most {_TAU_N_MAX:.4g}, above which its square "
                              f"overflows, got {self.tau_n}")
+        if not self.v_n * self.tau_n <= _DISPLACEMENT_MAX:
+            raise ValueError(f"tau_n must be at most {_DISPLACEMENT_MAX:.4g} / v_n = "
+                             f"{_DISPLACEMENT_MAX / self.v_n:.4g}, above which the rounding "
+                             f"of one interval's displacement exceeds the integration "
+                             f"tolerance {_INTEGRATION_TOL:g}, got {self.tau_n}")
         if not 0 <= self.alpha_n <= 1:
             raise ValueError(f"alpha_n must be in [0, 1], got {self.alpha_n}")
         if not 0 <= self.vartheta <= 1:
@@ -386,6 +391,14 @@ CONTROLLERS = (LEADERLESS, LEADER_CONSTANT, LEADER_DYNAMIC)
 
 _CONVEXITY_TOL = 1e-12
 _INTEGRATION_TOL = 1e-9
+# The largest v_n * tau_n, the farthest an agent moves in one interval,
+# that ModelParams.validate accepts: about 4.5e6.  The closed form and the
+# quadrature oracle each round a displacement of that size by about
+# eps * v_n * tau_n, and both the oracle's own error estimate and the
+# integration check hold it to the absolute _INTEGRATION_TOL (the oracle's
+# 1e3 * abs_tol).  Far beyond it, as at tau_n = 1e100 with v_n = 1e300,
+# the displacements overflow.
+_DISPLACEMENT_MAX = _INTEGRATION_TOL / np.finfo(float).eps
 
 # Block stepping (see run_epoch): the first block steps this many instants
 # ahead of the graph sweep.  A block that ran to its end doubles the next

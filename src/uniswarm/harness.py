@@ -184,6 +184,22 @@ def _validate_run_fields(params: ModelParams, steps, mode, reference_heading) ->
     _require_finite("reference_heading", reference_heading)
 
 
+def _validate_switch_log(switch_log, steps: int, mode: str) -> None:
+    """Checks a stored run's ``switch_log``: the instants at which the
+    schedule switched, strictly increasing in 0..steps - 1, and none unless
+    ``mode`` is leader_dynamic.  ValueError naming it otherwise."""
+    if not isinstance(switch_log, list):
+        raise ValueError(f"switch_log must be a list of instants, got {switch_log!r}")
+    for i, k in enumerate(switch_log):
+        _require_integer(f"switch_log[{i}]", k)
+        if not 0 <= k < steps:
+            raise ValueError(f"switch_log must hold instants in 0..{steps - 1}, got {k}")
+    if any(a >= b for a, b in zip(switch_log, switch_log[1:])):
+        raise ValueError(f"switch_log must be strictly increasing, got {switch_log}")
+    if switch_log and mode != LEADER_DYNAMIC:
+        raise ValueError(f"switch_log must be empty in mode {mode!r}, got {switch_log}")
+
+
 @dataclass
 class RunResult:
     config: RunConfig
@@ -250,6 +266,13 @@ def run(config: RunConfig, out_dir: str | Path | None = None) -> RunResult:
     landed."""
     config.validate()
     _raise_heap_thresholds(config.params.total_count)
+    target = out_dir if out_dir is not None else config.outputs
+    if target is not None:
+        # the CSV formatter's long-lived tables go below the run's arrays in
+        # the heap: imported later, by the export, they sat above them, and
+        # repeated m=500 runs with export never reached the lower of their
+        # two peak-RSS groups
+        from . import _csvtext  # noqa: F401
     started = time.time()
     params = config.params
     state = sample_initial(params, config.seed)
@@ -292,7 +315,6 @@ def run(config: RunConfig, out_dir: str | Path | None = None) -> RunResult:
     result = RunResult(config=config, trajectory=traj, metrics=rows,
                        recursion=recursion, envelope=envelope,
                        sync_index=sync_index, meta=meta)
-    target = out_dir if out_dir is not None else config.outputs
     if target is not None:
         write_run_outputs(result, target)
     return result
@@ -360,25 +382,19 @@ def write_trajectory_csv(traj: Trajectory, path) -> str:
     """Writes one row per (k, agent) and returns the sha256 of the file's bytes."""
     import hashlib
 
-    # one row template per agent; an instant's rows are formatted by a map
-    # over the templates and the instant's values, converted one instant at
-    # a time, and joined with the "k,t," prefix.  Small row strings and one
-    # join keep the heap compact: one % call per instant grows its result
-    # by reallocation, which at m=500 raised the peak RSS of repeated runs
-    # in one process by about 3 MB.  Each instant's bytes are hashed as they
-    # are written, which costs less than reading the file back.
-    rows = [f"{i},{ROLE_LABELS[int(x)]},%.17g,%.17g,%.17g,%.17g\n"
-            for i, x in enumerate(traj.leader_mask)]
+    from ._csvtext import csv_blocks, text_fields
+
+    # numpy formats the rows in blocks of instants (see _csvtext), and each
+    # block is hashed as it is written, which costs less than reading the
+    # file back; k is written as the float k, whose '%.17g' is the same text
+    instants = [np.arange(len(traj.times), dtype=float), traj.times]
+    agents = text_fields([f"{i},{ROLE_LABELS[int(x)]}," for i, x in enumerate(traj.leader_mask)])
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         data = (TRAJECTORY_HEADER + "\n").encode("ascii")
         digest.update(data)
         fh.write(data)
-        for k, t in enumerate(traj.times.tolist()):
-            prefix = f"{k},{t:.17g},"
-            x, y = traj.positions[k].T.tolist()
-            values = zip(x, y, traj.headings[k].tolist(), traj.speeds[k].tolist())
-            data = (prefix + prefix.join(map(str.__mod__, rows, values))).encode("ascii")
+        for data in csv_blocks(instants, agents, [traj.positions, traj.headings, traj.speeds]):
             digest.update(data)
             fh.write(data)
     return digest.hexdigest()
@@ -388,7 +404,8 @@ def load_trajectory(run_dir) -> Trajectory:
     """Rebuild a trajectory record from a stored run directory.
 
     The ``params``, ``steps``, ``mode`` and ``reference_heading`` read from
-    ``run_meta.json`` are checked as a run config's are, and an invalid one
+    ``run_meta.json`` are checked as a run config's are, and its
+    ``switch_log`` as :func:`_validate_switch_log` says; an invalid one
     raises ``ValueError`` naming it.  When ``run_meta.json`` holds ``trajectory_sha256`` and both
     ``trajectory.csv`` and ``trajectory.npy`` still hash to it, the values
     are read from ``trajectory.npy``, which must then be float64 of shape
@@ -410,6 +427,8 @@ def load_trajectory(run_dir) -> Trajectory:
         mode = meta.get("mode", LEADERLESS)
         reference_heading = meta.get("reference_heading", 0.0)
         _validate_run_fields(params, meta.get("steps"), mode, reference_heading)
+        switch_log = meta.get("switch_log", [])
+        _validate_switch_log(switch_log, meta["steps"], mode)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     cached = _cached_values(run_dir, meta, params)
@@ -437,7 +456,7 @@ def load_trajectory(run_dir) -> Trajectory:
                       headings=headings, speeds=speeds, leader_mask=leader_mask,
                       params=params, controller=mode, reference_headings=refs,
                       reference_speed=params.v_n if mode != LEADERLESS else float("nan"),
-                      connected=connected, switch_log=meta.get("switch_log", []))
+                      connected=connected, switch_log=switch_log)
 
 
 def _cached_values(run_dir: Path, meta: dict, params: ModelParams) -> np.ndarray | None:

@@ -481,10 +481,21 @@ def ring_containment_check(traj: Trajectory) -> dict:
     return {"drift_within_budget_up_to": holds_up_to, "containment_holds": contained}
 
 
+_CSV_COLUMNS = ("k", "delta_theta", "delta_v", "tracking_theta", "tracking_v",
+                "max_distance_drift", "p_deviation", "alpha_drift", "connected")
+
+
 def write_metrics_csv(rows: list[StepMetrics], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("k,delta_theta,delta_v,tracking_theta,tracking_v,drift,p_dev,alpha_drift,connected\n")
-        for r in rows:
-            fh.write(f"{r.k},{r.delta_theta:.17g},{r.delta_v:.17g},{r.tracking_theta:.17g},"
-                     f"{r.tracking_v:.17g},{r.max_distance_drift:.17g},{r.p_deviation:.17g},"
-                     f"{r.alpha_drift:.17g},{int(r.connected)}\n")
+    from ._csvtext import csv_blocks, text_fields
+
+    # every column is written as a float: the '%.17g' of k is k's own text,
+    # and that of connected is 0 or 1.  Filled a column at a time, as a list
+    # of row tuples would hold about twice the array's memory in objects.
+    values = np.empty((len(rows), 1, len(_CSV_COLUMNS)))
+    for j, name in enumerate(_CSV_COLUMNS):
+        values[:, 0, j] = np.fromiter((getattr(r, name) for r in rows), float, len(rows))
+    with open(path, "wb") as fh:
+        fh.write(b"k,delta_theta,delta_v,tracking_theta,tracking_v,drift,p_dev,alpha_drift,"
+                 b"connected\n")
+        for data in csv_blocks([], text_fields([""]), [values]):
+            fh.write(data)

@@ -85,6 +85,10 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+# params that a case of the test below sets besides its field
+_SET_ALONGSIDE = {("tau_n", 1e100): {"v_n": 1e300}}
+
+
 @pytest.mark.parametrize("field, value", [
     ("n", 10.5), ("n", True), ("n", "ten"), ("v_n", float("inf")), ("r_n", float("-inf")),
     ("tau_n", float("nan")), ("eta_n", float("nan")), ("c", float("nan")),
@@ -92,13 +96,14 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     ("steps", 10.5), ("steps", True), ("steps", "3"), ("seed", 1.7), ("seed", False),
     ("substeps", 2.5), ("substeps", None), ("self_inclusive", "no"), ("self_inclusive", 1),
     ("r_n", True), ("vartheta", False), ("tau_n", 1e308), ("reference_heading", True),
-    ("reference_heading", "0.5")])
+    ("reference_heading", "0.5"), ("tau_n", 1e154), ("tau_n", 1e100)])
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second stderr line
 def test_config_field_of_wrong_type_or_not_finite_exits_2(tmp_path, capsys, field, value):
     # json.dumps writes nan and inf as NaN and Infinity, which json.load reads back
     config = {"params": {"n": 8, "r_n": 0.5, "v_n": 0.05, "tau_n": 0.01}, "steps": 3}
     top_level = field in ("reference_heading", "steps", "seed", "substeps")
     (config if top_level else config["params"])[field] = value
+    config["params"].update(_SET_ALONGSIDE.get((field, value), {}))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
@@ -229,7 +234,17 @@ def test_audit_of_tampered_run_exits_1(tmp_path, config_path, capsys):
     ("params", "r_n", -1, "r_n must be positive"),
     ("params", "v_n", None, "v_n must be a finite number"),
     (None, "steps", 2.5, "steps must be an integer"),
-    (None, "mode", "foo", "unknown mode 'foo'")])
+    (None, "mode", "foo", "unknown mode 'foo'"),
+    (None, "switch_log", "abc", "switch_log must be a list"),
+    (None, "switch_log", {"a": 1}, "switch_log must be a list"),
+    (None, "switch_log", None, "switch_log must be a list"),
+    (None, "switch_log", [1.5], "switch_log[0] must be an integer"),
+    (None, "switch_log", [True], "switch_log[0] must be an integer"),
+    (None, "switch_log", [-5], "switch_log must hold instants in 0..9"),
+    (None, "switch_log", [1000000000], "switch_log must hold instants in 0..9"),
+    (None, "switch_log", [5, 3], "switch_log must be strictly increasing"),
+    (None, "switch_log", [4, 4], "switch_log must be strictly increasing"),
+    (None, "switch_log", [5], "switch_log must be empty in mode 'leaderless'")])
 def test_audit_of_run_with_invalid_stored_field_exits_2(tmp_path, config_path, capsys,
                                                         section, field, value, message):
     out = tmp_path / "r"

@@ -84,6 +84,32 @@ def test_import_and_runs_without_export_do_not_import_hashlib():
     assert not Path(importers[0]).resolve().is_relative_to(SRC / "uniswarm")
 
 
+# Records whether the CSV formatter module is loaded after `import uniswarm`,
+# after a run that writes nothing, and after a run with export.
+_CSVTEXT_SCRIPT = """
+import json, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+import uniswarm
+loaded = ["uniswarm._csvtext" in sys.modules]
+from uniswarm import ModelParams, RunConfig, run
+config = RunConfig(params=ModelParams(n=8, r_n=0.5, v_n=0.05, tau_n=0.01), steps=20, seed=0)
+run(config)
+loaded.append("uniswarm._csvtext" in sys.modules)
+with tempfile.TemporaryDirectory() as out:
+    run(config, out_dir=out)
+loaded.append("uniswarm._csvtext" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_only_runs_with_export_load_the_csv_formatter():
+    # the formatter's tables cost import time and memory that runs which
+    # write nothing, such as campaigns, never need
+    proc = subprocess.run([sys.executable, "-c", _CSVTEXT_SCRIPT, str(SRC)],
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, True]
+
+
 # Prints the top-level modules that `import uniswarm` adds to those numpy loads.
 _IMPORT_SCRIPT = """
 import sys
