@@ -399,6 +399,14 @@ _INTEGRATION_TOL = 1e-9
 # 1e3 * abs_tol).  Far beyond it, as at tau_n = 1e100 with v_n = 1e300,
 # the displacements overflow.
 _DISPLACEMENT_MAX = _INTEGRATION_TOL / np.finfo(float).eps
+# The integration check reads a step's displacement back as
+# positions[k + 1] - positions[k], where positions[k + 1] is the rounded
+# running sum positions[k] + d.  That sum rounds by at most eps/2 times
+# |positions[k + 1]|, and the subtraction by at most eps/2 times
+# |positions[k]| + |positions[k + 1]|, so the read-back differs from d by
+# less than 1.5 eps times the larger |position|: this allowance per unit of
+# it is added to _INTEGRATION_TOL, coordinate by coordinate.
+_SUM_ROUNDING = 2 * np.finfo(float).eps
 
 # Block stepping (see run_epoch): the first block steps this many instants
 # ahead of the graph sweep.  A block that ran to its end doubles the next
@@ -590,8 +598,10 @@ def _verify_integration(positions: np.ndarray, headings: np.ndarray, speeds: np.
     c = float(headings[k, i])
     d = float(headings[k + 1, i] - headings[k, i]) / tau
     ox, oy = integrate_position_oracle(a, b, c, d, tau)
-    got = positions[k + 1, i] - positions[k, i]
-    if abs(got[0] - ox) > _INTEGRATION_TOL or abs(got[1] - oy) > _INTEGRATION_TOL:
+    (x0, y0), (x1, y1) = positions[k, i].tolist(), positions[k + 1, i].tolist()
+    dx, dy = x1 - x0 - ox, y1 - y0 - oy
+    if (abs(dx) > _INTEGRATION_TOL + _SUM_ROUNDING * max(abs(x0), abs(x1))
+            or abs(dy) > _INTEGRATION_TOL + _SUM_ROUNDING * max(abs(y0), abs(y1))):
         raise RuntimeError(
             f"closed-form position update deviates from quadrature oracle at agent {i}: "
-            f"({got[0] - ox:.3e}, {got[1] - oy:.3e})")
+            f"({dx:.3e}, {dy:.3e})")

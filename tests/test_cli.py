@@ -314,3 +314,16 @@ def test_run_writes_to_out_then_env_then_config_outputs(tmp_path, config_path, m
     assert main(["run", "--config", str(config_path), "--out", "from_flag"]) == EXIT_OK
     assert (tmp_path / "from_flag" / "trajectory.csv").exists()
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("params, steps, audit_level", [
+    ({"n": 10, "r_n": 0.3, "v_n": 1.0, "tau_n": 1e6}, 1000, "sampled"),
+    ({"n": 10, "r_n": 0.3, "v_n": 0.05, "tau_n": 2e6}, 400, "full")])
+def test_run_far_from_the_origin_passes_the_integration_check(tmp_path, params, steps,
+                                                              audit_level):
+    # positions grow to about 1e9, where their running sum rounds by about
+    # 1e-7, more than the check's absolute 1e-9
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"params": params, "steps": steps, "seed": 0,
+                                "audit_level": audit_level}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK

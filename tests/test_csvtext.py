@@ -1,6 +1,7 @@
 """The numpy '%.17g' formatter of the CSV writers, against Python's own."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from uniswarm import ModelParams, _csvtext
+from uniswarm import ModelParams, _csvtext, run
 from uniswarm.dynamics import LEADER_CONSTANT, Trajectory
-from uniswarm.harness import write_trajectory_csv
+from uniswarm.harness import scenario_fig3, write_trajectory_csv
 from uniswarm.metrics import StepMetrics, write_metrics_csv
 
 from conftest import trajectory_csv_oracle
@@ -77,6 +78,150 @@ def test_bit_patterns_of_the_numpy_range_match_python(bits, negative):
 @settings(max_examples=100, deadline=None)
 def test_ties_match_python(integers, fraction):
     _assert_matches_python([i + fraction for i in integers])
+
+
+def _neighbours(x: float) -> list[float]:
+    return [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+
+
+def test_every_decade_matches_python():
+    # 10**k and both neighbours for every k a double reaches: log10 can be
+    # one decade off there, and X can round up to 1e16 or 1e17
+    values = [y for k in range(-323, 309) for y in _neighbours(float(f"1e{k}"))]
+    _assert_matches_python(values + [-x for x in values])
+
+
+# where the notation switches: subnormals, exponent notation below 1e-4,
+# fixed notation from 1e-4 to below 1e17, exponent notation from 1e17 on
+_SWITCHES = ([0.0, 5e-324, 2.0 ** -1022, math.nextafter(2.0 ** -1022, 0.0), 1e-4, 1e16, 1e17,
+              1.7976931348623157e308] + _neighbours(2.0 ** -1022) + _neighbours(1e-4)
+             + _neighbours(1e16) + _neighbours(1e17)
+             + [1e16 + 2.0 * i for i in range(1, 6)] + [1e17 - 16.0 * i for i in range(1, 6)])
+
+
+def test_notation_switches_match_python():
+    _assert_matches_python(_SWITCHES + [-x for x in _SWITCHES])
+    assert _g17([1e16, 9.9999999999999984e16, 1e17]) == [
+        "10000000000000000", "99999999999999984", "1e+17"]
+
+
+def test_signed_zeros_and_nan_match_python():
+    negative_nan = np.copysign(math.nan, -1.0)
+    assert np.signbit(negative_nan)
+    _assert_matches_python([0.0, -0.0, math.nan, negative_nan, math.inf, -math.inf])
+    assert _g17([-0.0, negative_nan, -math.inf]) == ["-0", "nan", "-inf"]
+
+
+def _exponent(x: float) -> int:
+    """The decimal exponent that '%.17g' prints for x, with 17 digits."""
+    return int(("%.16e" % x).split("e")[1])
+
+
+def _exact_ties() -> list[float]:
+    """Every positive double x whose X = x * 10**(16 - e) is a half-integer
+    while 10**q, q = 16 - e, is not an exact double.  For q > 22, X is then
+    m * 5**q / 2 for an odd m < 2**53, which needs 5**q < 2e17: q <= 24.
+    For q < 0, x = 2X * 10**-q / 2 would need the odd factor 2X * 5**-q,
+    at least 1e17, below 2**53: there are none."""
+    ties = []
+    for q in range(23, 30):
+        for m in range(1, 2 ** 53, 2):
+            x = float(Fraction(m, 2 ** (q + 1)))
+            if m * 5 ** q >= 2 * 10 ** 17:
+                break
+            if m * 5 ** q >= 2 * 10 ** 16:
+                ties.append(x)
+    for x in ties:
+        X = Fraction(x) * 10 ** (16 - _exponent(x))
+        assert X.denominator == 2 and 10 ** 16 <= X < 10 ** 17
+    return ties
+
+
+_EXACT_TIES = _exact_ties()
+
+
+def _near_ties() -> list[float]:
+    """Doubles x = m / 2**(s + q) with X = m * 5**q / 2**s within 1 or 2
+    units of 2**-s of a half-integer, for 23 <= q <= 46 and s <= 53, found
+    by solving m * 5**q = 2**(s - 1) + d (mod 2**s) for m."""
+    values = []
+    for q in range(23, 47):
+        for s in range(40, 54):
+            inverse = pow(5 ** q, -1, 2 ** s)
+            least = -(-10 ** 16 * 2 ** s // 5 ** q)
+            most = min(10 ** 17 * 2 ** s // 5 ** q, 2 ** 53 - 1)
+            for d in (-2, -1, 1, 2):
+                m = (2 ** (s - 1) + d) * inverse % 2 ** s
+                m += max(0, -(-(least - m) // 2 ** s)) * 2 ** s
+                if m <= most:
+                    values.append(float(Fraction(m, 2 ** (s + q))))
+    return values
+
+
+_NEAR_TIES = _near_ties()
+
+
+def test_exact_ties_match_python():
+    # 5 * 2**-24 = 2.98023223876953125e-07 rounds to even, ...312
+    assert 5 * 2.0 ** -24 in _EXACT_TIES and len(_EXACT_TIES) == 9
+    assert _g17([5 * 2.0 ** -24]) == ["2.9802322387695312e-07"]
+    _assert_matches_python(_EXACT_TIES + [-x for x in _EXACT_TIES])
+
+
+def test_near_ties_match_python():
+    assert len(_NEAR_TIES) > 100
+    _assert_matches_python(_NEAR_TIES + [-x for x in _NEAR_TIES])
+
+
+def _tie_distance(x: float) -> Fraction:
+    """|frac(X) - 1/2| for X = |x| * 10**(16 - e), exactly."""
+    X = abs(Fraction(x)) * Fraction(10) ** (16 - _exponent(x))
+    return abs(X - X.numerator // X.denominator - Fraction(1, 2))
+
+
+def _python_values(monkeypatch) -> list[float]:
+    """The values that g17_fields hands to Python's '%', from now on."""
+    handed = []
+    python_words = _csvtext._python_words
+
+    def recording(values):
+        handed.extend(values.tolist())
+        return python_words(values)
+
+    monkeypatch.setattr(_csvtext, "_python_words", recording)
+    return handed
+
+
+def test_python_formats_the_exact_ties_and_only_near_ties(monkeypatch):
+    handed = _python_values(monkeypatch)
+    _g17(_EXACT_TIES + _NEAR_TIES + _SWITCHES)
+    assert set(_EXACT_TIES) <= set(handed)
+    assert all(_tie_distance(x) <= 2 ** -47 for x in handed)
+
+
+def test_writing_fig3_hands_python_only_near_ties(tmp_path, monkeypatch):
+    # about 21% of the scenario's values are headings below 1e-4
+    traj = run(scenario_fig3(seed=1)).trajectory
+    assert (np.abs(traj.headings) < 1e-4).mean() > 0.2
+    handed = _python_values(monkeypatch)
+    write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+    assert all(_tie_distance(x) <= 2 ** -47 for x in handed)
+    assert len(handed) == 0
+
+
+@given(hnp.arrays(np.int64, 64))
+@example(np.array([_bits(x) for x in _EXACT_TIES + _NEAR_TIES[:55]]))
+@settings(max_examples=50, deadline=None)
+def test_remainder_is_within_the_tie_band_bound(bits):
+    # p + lo, returned as n17 + remainder, differs from X = a * 10**q by at
+    # most the three roundings of 2**-49 each that _TIE allows for
+    a = np.abs(bits.view(np.float64))
+    a = a[(a > 0) & (a < np.inf)]
+    q = np.array([16 - _exponent(x) for x in a.tolist()], dtype=np.int64)
+    n17, remainder = _csvtext._digits17(a, q)
+    for x, k, n, r in zip(a.tolist(), q.tolist(), n17.tolist(), remainder.tolist()):
+        X = Fraction(x) * Fraction(10) ** k
+        assert abs(n + Fraction(r) - X) <= 3 * Fraction(2) ** -49
 
 
 def _random_trajectory(instants: int, m: int, seed: int) -> Trajectory:

@@ -341,3 +341,33 @@ def test_leader_step_holds_isolated_agents_without_self_loops(leaders):
     assert np.array_equal(nxt.headings, want_h) and np.array_equal(nxt.speeds, want_v)
     if 0 not in leaders:
         assert nxt.headings[0] == state.headings[0] and nxt.speeds[0] == state.speeds[0]
+
+
+def _one_step(origin: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """A two-instant, two-agent trajectory starting at ``origin``, its
+    positions advanced by the closed form as run_epoch does."""
+    headings = np.array([[0.3, -1.2], [0.5, -1.0]])
+    speeds = np.array([[0.2, 0.1], [0.25, 0.1]])
+    tau = 0.5
+    positions = np.full((2, 2, 2), origin)
+    dx, dy = closed_form_displacement(speeds[0], (speeds[1] - speeds[0]) / tau, headings[0],
+                                      (headings[1] - headings[0]) / tau, tau)
+    positions[1] += np.stack([dx, dy], axis=1)
+    return positions, headings, speeds, tau
+
+
+@pytest.mark.parametrize("origin", [0.5, 1e9])
+def test_integration_check_passes_the_closed_form(origin):
+    # at 1e9 the running sum alone rounds by about 1e-7, past the absolute 1e-9
+    positions, headings, speeds, tau = _one_step(origin)
+    dynamics._verify_integration(positions, headings, speeds, 0, tau)
+    positions[1, 0, 0] = np.nextafter(np.nextafter(positions[1, 0, 0], 2e9), 2e9)
+    dynamics._verify_integration(positions, headings, speeds, 0, tau)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_integration_check_raises_on_a_displacement_error_at_unit_scale(axis):
+    positions, headings, speeds, tau = _one_step(0.5)
+    positions[1, 0, axis] += 1e-8
+    with pytest.raises(RuntimeError, match="deviates from quadrature oracle at agent 0"):
+        dynamics._verify_integration(positions, headings, speeds, 0, tau)

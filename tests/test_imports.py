@@ -110,6 +110,23 @@ def test_only_runs_with_export_load_the_csv_formatter():
     assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, True]
 
 
+# The bytes the formatter's module-level numpy tables may hold together: about
+# 137 kB today, 80 kB of which is the table of four-digit groups.
+_CSVTEXT_TABLE_BUDGET = 140_000
+
+
+def test_csv_formatter_tables_stay_within_budget():
+    # each run with export loads the tables, and their pages count towards
+    # the run's peak RSS
+    import numpy as np
+
+    from uniswarm import _csvtext
+
+    tables = [v for v in vars(_csvtext).values() if isinstance(v, np.ndarray)]
+    assert len(tables) >= 10
+    assert sum(t.nbytes for t in tables) <= _CSVTEXT_TABLE_BUDGET
+
+
 # Prints the top-level modules that `import uniswarm` adds to those numpy loads.
 _IMPORT_SCRIPT = """
 import sys
