@@ -70,6 +70,9 @@ def check_corollary1(params: ModelParams, n: int | None = None,
     rescaling of the theorem-1 chain with constant r and v.
     """
     n = params.n if n is None else n
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    params.validate()
     if c_tilde is None:
         c_tilde = (params.c_prime * params.c * params.r_n ** 5 / params.v_n
                    if params.v_n > 0 else math.inf)
@@ -90,6 +93,7 @@ def check_theorem2(params: ModelParams, n: int | None = None, reference_heading:
     n = params.n if n is None else n
     if params.leader_count == 0:
         raise ValueError("theorem 2 applies to runs with leaders")
+    params.validate()
     branch, ratio = _branch_for_speed(params, n, separation)
     if branch == 1:
         required = (8.0 * params.v_n * params.tau_n * (1.0 + abs(reference_heading))
@@ -109,6 +113,7 @@ def check_theorem3(params: ModelParams, schedule, n: int | None = None,
     n = params.n if n is None else n
     if schedule is None:
         raise ValueError("theorem 3 needs a reference schedule")
+    params.validate()
     branch, ratio = _branch_for_speed(params, n, separation)
     total_jump = schedule.total_variation()
     theta0 = abs(schedule.headings[0])

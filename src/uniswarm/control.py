@@ -29,7 +29,7 @@ def follower_control(agent: int, state: SwarmState, graph: ProximityGraph, tau: 
     """Nearest-neighbor rule: average state differences over current neighbors,
     scaled by 1/tau so one hold interval lands exactly on the neighbor mean."""
     neighbors = graph.adjacency[agent]
-    degree = max(int(graph.degrees[agent]), 1)
+    degree = float(graph.divisors[agent])
     d_theta = float(np.sum(state.headings[neighbors] - state.headings[agent]))
     d_speed = float(np.sum(state.speeds[neighbors] - state.speeds[agent]))
     return ControlSignal(omega=d_theta / (tau * degree), u=d_speed / (tau * degree))

@@ -126,6 +126,8 @@ class ModelParams:
             raise ValueError(f"alpha_n must be in [0, 1], got {self.alpha_n}")
         if not 0 <= self.vartheta <= 1:
             raise ValueError(f"vartheta must be in [0, 1], got {self.vartheta}")
+        if not self.eta > 0:
+            raise ValueError(f"eta must be positive, got {self.eta}")
         if strict:
             if not 0 < self.vartheta:
                 raise ValueError("strict mode requires 0 < vartheta <= 1")
@@ -435,12 +437,16 @@ class Trajectory:
     reference_headings: np.ndarray  # (K,) theta-bar used on each interval (nan if leaderless)
     reference_speed: float
     connected: np.ndarray  # (K+1,) connectivity of the graph at each instant
-    switch_log: list = field(default_factory=list)
-    left_unit_square: bool = False
+    switch_log: list = field(default_factory=list)  # the instants the schedule switched at
 
     @property
     def n_steps(self) -> int:
         return len(self.times) - 1
+
+    @property
+    def left_unit_square(self) -> bool:
+        """Whether any agent was outside [0, 1]^2 at a sampling instant."""
+        return bool((self.positions < 0).any() or (self.positions > 1).any())
 
     def state_at(self, k: int) -> SwarmState:
         return SwarmState(positions=self.positions[k].copy(), headings=self.headings[k].copy(),
@@ -478,7 +484,9 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
     chunk's condensed distances, each pair's once, one finiteness check, and
     one comparison that finds the first instant whose graph differs.  In
     ``leader_dynamic`` runs the schedule is consulted once per committed
-    instant, in order, with the instant's state.  At the first instant
+    instant, in order, with the instant's state and the run's segment; the
+    run keeps the segment and the instants at which it switched, which it
+    returns as ``Trajectory.switch_log``.  At the first instant
     whose graph differs or at which the schedule switched, the loop keeps
     that instant, whose state the previous graph and reference determine,
     discards the rest of the block and continues from there.  So the
@@ -520,10 +528,18 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
     headings[0] = state.headings
     speeds[0] = state.speeds
 
+    segment, switch_log = 0, []  # the schedule's segment, and the instants it switched at
+
     def switched(j: int) -> bool:
-        """Consults the schedule at the committed instant j."""
-        return schedule.maybe_advance(SwarmState(positions[j], headings[j], speeds[j], mask,
-                                                 state.sample_index + j))
+        """Consults the schedule at the committed instant j, and switches."""
+        nonlocal segment
+        instant = state.sample_index + j
+        if not schedule.maybe_advance(SwarmState(positions[j], headings[j], speeds[j], mask,
+                                                 instant), segment):
+            return False
+        segment += 1
+        switch_log.append(int(instant))
+        return True
 
     sweep = GraphSweep(params.r_n, params.self_inclusive)
     graph, distances = next(sweep.runs(positions[:1]))
@@ -540,7 +556,7 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
         pull = None
         if controller != LEADERLESS:
             if controller == LEADER_DYNAMIC:
-                references[k:stop] = schedule.current_heading
+                references[k:stop] = schedule.headings[segment]
             pull = _leader_pull(mask, references[k], params.v_n, params.vartheta)
         for s in range(k, stop):
             _discrete_step(graph, headings[s], speeds[s], headings[s + 1], speeds[s + 1], pull)
@@ -584,9 +600,7 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
                       headings=headings, speeds=speeds, leader_mask=mask,
                       params=params, controller=controller, reference_headings=references,
                       reference_speed=params.v_n if controller != LEADERLESS else float("nan"),
-                      connected=connected,
-                      switch_log=list(schedule.switch_log) if schedule is not None else [],
-                      left_unit_square=bool((positions < 0).any() or (positions > 1).any()))
+                      connected=connected, switch_log=switch_log)
 
 
 def _verify_integration(positions: np.ndarray, headings: np.ndarray, speeds: np.ndarray,

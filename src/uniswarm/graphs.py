@@ -28,12 +28,17 @@ class SpectralError(RuntimeError):
 class ProximityGraph:
     radius: float
     adjacency: np.ndarray  # (m, m) bool, symmetric
-    degrees: np.ndarray  # (m,) int
     self_inclusive: bool = True
 
     @property
     def node_count(self) -> int:
         return self.adjacency.shape[0]
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """d_i, the (m,) int neighbor counts, the node itself included when
+        the graph is self-inclusive."""
+        return self.adjacency.sum(axis=1)
 
     @cached_property
     def float_adjacency(self) -> np.ndarray:
@@ -166,12 +171,7 @@ def build_graph(positions: np.ndarray, radius: float, self_inclusive: bool = Tru
     positions = _checked_positions(positions)
     adjacency = pairwise_distances(positions) < _checked_radius(radius)
     np.fill_diagonal(adjacency, self_inclusive)
-    return _graph(adjacency, radius, self_inclusive)
-
-
-def _graph(adjacency: np.ndarray, radius: float, self_inclusive: bool) -> ProximityGraph:
-    return ProximityGraph(radius=float(radius), adjacency=adjacency,
-                          degrees=adjacency.sum(axis=1), self_inclusive=self_inclusive)
+    return ProximityGraph(radius=float(radius), adjacency=adjacency, self_inclusive=self_inclusive)
 
 
 class GraphSweep:
@@ -238,7 +238,8 @@ class GraphSweep:
                 if self.graph is None or not np.array_equal(chunk[start], self._pairs):
                     self._pairs = chunk[start]
                     adjacency = self._adjacency(self._pairs, positions.shape[1])
-                    self.graph = _graph(adjacency, self.radius, self.self_inclusive)
+                    self.graph = ProximityGraph(radius=self.radius, adjacency=adjacency,
+                                                self_inclusive=self.self_inclusive)
                 stop = start + 1
                 if stop < n:
                     changed = np.flatnonzero((chunk[stop:] != self._pairs).any(axis=1))
@@ -275,9 +276,8 @@ def averaging_matrix(graph: ProximityGraph) -> np.ndarray:
 def averaging_rows(graph: ProximityGraph, rows: np.ndarray) -> np.ndarray:
     """Rows ``rows`` (node indices) of :func:`averaging_matrix`; row i
     depends only on the adjacency row of node i."""
-    degrees = graph.degrees[rows].astype(float)
-    isolated = degrees == 0
-    p = graph.adjacency[rows] / np.where(isolated, 1.0, degrees)[:, None]
+    isolated = graph.degrees[rows] == 0
+    p = graph.adjacency[rows] / graph.divisors[rows][:, None]
     if isolated.any():
         idx = np.where(isolated)[0]
         p[idx, rows[idx]] = 1.0
@@ -300,8 +300,7 @@ def leader_fractions(graph: ProximityGraph,
 
 
 def normalized_laplacian(graph: ProximityGraph) -> np.ndarray:
-    degrees = np.maximum(graph.degrees.astype(float), 1.0)
-    inv_sqrt = 1.0 / np.sqrt(degrees)
+    inv_sqrt = 1.0 / np.sqrt(graph.divisors)
     lap = -(graph.adjacency.astype(float) * np.outer(inv_sqrt, inv_sqrt))
     np.fill_diagonal(lap, np.diagonal(lap) + 1.0)
     return lap

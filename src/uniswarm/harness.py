@@ -276,11 +276,10 @@ def run(config: RunConfig, out_dir: str | Path | None = None) -> RunResult:
     started = time.time()
     params = config.params
     state = sample_initial(params, config.seed)
-    schedule = config.schedule.copy() if config.schedule is not None else None
 
     instants = RunPass(state)
     traj = run_epoch(state, params, config.steps, controller=config.mode,
-                     schedule=schedule, reference_heading=config.reference_heading,
+                     schedule=config.schedule, reference_heading=config.reference_heading,
                      integration_check=config.audit_level, observer=instants.observe)
 
     rows = instants.step_metrics(traj)
@@ -548,8 +547,7 @@ def campaign(base: RunConfig, seeds: list[int], out_dir: str | Path | None = Non
     verdicts = {"recursion_fail": 0, "envelope_pass": 0, "envelope_skip": 0,
                 "envelope_fail": 0, "envelope_report": 0}
     for seed in sorted(set(int(s) for s in seeds)):
-        cfg = replace(base, seed=seed, outputs=None,
-                      schedule=base.schedule.copy() if base.schedule else None)
+        cfg = replace(base, seed=seed, outputs=None)
         try:
             result = run(cfg)
         except Exception as exc:  # recorded per run, campaign continues

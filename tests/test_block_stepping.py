@@ -30,6 +30,7 @@ def _oracle_run_epoch(state, params, steps, controller=LEADERLESS, schedule=None
     current = state.copy()
     positions[0], headings[0], speeds[0] = current.positions, current.headings, current.speeds
     mask = state.leader_mask
+    segment, switch_log = 0, []
     sweep = GraphSweep(params.r_n, params.self_inclusive)
     pairs = np.triu_indices(m, 1)
     graph = None
@@ -51,8 +52,10 @@ def _oracle_run_epoch(state, params, steps, controller=LEADERLESS, schedule=None
                     raise ConvexityError(f"{label} envelope expanded during a leaderless step")
         else:
             if controller == LEADER_DYNAMIC:
-                schedule.maybe_advance(current)
-                theta_bar = schedule.current_heading
+                if schedule.maybe_advance(current, segment):
+                    segment += 1
+                    switch_log.append(current.sample_index)
+                theta_bar = float(schedule.headings[segment])
             else:
                 theta_bar = reference_heading
             references[k] = theta_bar
@@ -71,21 +74,21 @@ def _oracle_run_epoch(state, params, steps, controller=LEADERLESS, schedule=None
         positions[k + 1], headings[k + 1], speeds[k + 1] = new_positions, new_h, new_v
     return {"positions": positions, "headings": headings, "speeds": speeds,
             "references": references, "connected": connected,
-            "switch_log": list(schedule.switch_log) if schedule is not None else [],
-            "checks": checks}
+            "switch_log": switch_log, "checks": checks}
 
 
-class _LoggedSchedule(ReferenceSchedule):
-    """A schedule that logs each consultation as ("advance", instant, switched),
-    and the positions and the (segment, log length) it was consulted with."""
+class _LoggedSchedule:
+    """Wraps a schedule, and logs each consultation as ("advance", instant,
+    switched) in ``events`` and the positions and the segment it was
+    consulted with in ``consulted``."""
 
-    events: list
-    consulted: list
+    def __init__(self, schedule, events):
+        self.headings = schedule.headings
+        self.schedule, self.events, self.consulted = schedule, events, []
 
-    def maybe_advance(self, state):
-        self.consulted.append((state.positions.copy(),
-                               (self.current_segment, len(self.switch_log))))
-        switched = super().maybe_advance(state)
+    def maybe_advance(self, state, segment):
+        self.consulted.append((state.positions.copy(), segment))
+        switched = self.schedule.maybe_advance(state, segment)
         self.events.append(("advance", int(state.sample_index), switched))
         return switched
 
@@ -112,13 +115,12 @@ def _run_both(params, steps, seed, controller=LEADERLESS, headings=None, epsilon
     and returns the blocks that run_epoch stepped (see _blocks).
     ``chunk_bytes``, when given, replaces the sweep's chunk budget."""
     state = sample_initial(params, seed)
-    schedules = [None, None]
-    if controller == LEADER_DYNAMIC:
-        schedules = [_LoggedSchedule(headings=list(headings), epsilon=epsilon) for _ in range(2)]
     events = []
-    if schedules[0] is not None:
-        schedules[0].events, schedules[0].consulted = events, []
-        schedules[1].events, schedules[1].consulted = [], []
+    schedule = logged = None
+    if controller == LEADER_DYNAMIC:
+        # one schedule object serves both runs, run_epoch's through the log
+        schedule = ReferenceSchedule(headings=list(headings), epsilon=epsilon)
+        logged = _LoggedSchedule(schedule, events)
 
     integrate = dynamics._integrate_positions
     checks = []
@@ -153,11 +155,11 @@ def _run_both(params, steps, seed, controller=LEADERLESS, headings=None, epsilon
         mp.setattr(graphs, "_distance_chunks", logged_chunks)
         if chunk_bytes is not None:
             mp.setattr(graphs, "_CHUNK_BYTES", chunk_bytes)
-        traj = run_epoch(state, params, steps, controller=controller, schedule=schedules[0],
+        traj = run_epoch(state, params, steps, controller=controller, schedule=logged,
                          reference_heading=reference_heading, integration_check=integration_check,
                          observer=observe_logged)
     want_seen, want_observe = _instant_log()
-    want = _oracle_run_epoch(state, params, steps, controller, schedules[1], reference_heading,
+    want = _oracle_run_epoch(state, params, steps, controller, schedule, reference_heading,
                              integration_check, want_observe)
 
     for name in ("positions", "headings", "speeds", "connected"):
@@ -173,15 +175,20 @@ def _run_both(params, steps, seed, controller=LEADERLESS, headings=None, epsilon
         assert np.array_equal(adj, wadj) and np.array_equal(dist, wdist)
     reused = [a[0] is b[0] for a, b in zip(seen[1:], seen[:-1])]
     assert reused == [a[0] is b[0] for a, b in zip(want_seen[1:], want_seen[:-1])]
-    if schedules[0] is not None:
-        # the schedule saw each instant once, in order, with its positions, and
-        # nothing outside the schedule moved its segment or its log back
-        assert [e[1] for e in events if e[0] == "advance"] == list(range(steps))
-        consulted = schedules[0].consulted
+    if logged is not None:
+        # the schedule saw each instant once, in order, with its positions; the
+        # segment never moved back, and moved on by one exactly where the
+        # schedule switched, at the instants of the log
+        advances = [e for e in events if e[0] == "advance"]
+        assert [instant for _, instant, _ in advances] == list(range(steps))
+        consulted = logged.consulted
         assert all(np.array_equal(x, traj.positions[j]) for j, (x, _) in enumerate(consulted))
-        progress = [p for _, p in consulted]
-        progress.append((schedules[0].current_segment, len(schedules[0].switch_log)))
-        assert all(a[0] <= b[0] and a[1] <= b[1] for a, b in zip(progress, progress[1:]))
+        segments = [segment for _, segment in consulted]
+        switched = [int(s) for _, _, s in advances]
+        assert segments[0] == 0
+        assert all(b == a + s for a, b, s in zip(segments, segments[1:], switched))
+        assert len(traj.switch_log) == segments[-1] + switched[-1]
+        assert traj.switch_log == [instant for _, instant, s in advances if s]
     return _blocks(events, seen)
 
 

@@ -62,6 +62,17 @@ def test_check_subcommand(config_path, capsys):
         assert r["satisfied"] == (r["lhs"] <= r["rhs"])
 
 
+def test_check_with_zero_eta_exits_2(tmp_path, capsys):
+    # branch 1 of theorems 2 and 3 divides by eta
+    config = {"params": {"n": 100, "alpha_n": 0.3, "r_n": 0.3, "v_n": 10.0, "tau_n": 0.2,
+                         "eta": 0}, "steps": 3, "mode": "leader_constant"}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["check", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: eta must be positive") and err.count("\n") == 1
+
+
 def test_check_includes_leader_conditions(tmp_path, capsys):
     params = ModelParams(n=8, r_n=0.5, v_n=0.05, tau_n=0.01, alpha_n=0.25)
     cfg = RunConfig(params=params, steps=5, seed=0, mode="leader_constant",
@@ -96,7 +107,7 @@ _SET_ALONGSIDE = {("tau_n", 1e100): {"v_n": 1e300}}
     ("steps", 10.5), ("steps", True), ("steps", "3"), ("seed", 1.7), ("seed", False),
     ("substeps", 2.5), ("substeps", None), ("self_inclusive", "no"), ("self_inclusive", 1),
     ("r_n", True), ("vartheta", False), ("tau_n", 1e308), ("reference_heading", True),
-    ("reference_heading", "0.5"), ("tau_n", 1e154), ("tau_n", 1e100)])
+    ("reference_heading", "0.5"), ("tau_n", 1e154), ("tau_n", 1e100), ("eta", 0.0)])
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second stderr line
 def test_config_field_of_wrong_type_or_not_finite_exits_2(tmp_path, capsys, field, value):
     # json.dumps writes nan and inf as NaN and Infinity, which json.load reads back

@@ -32,6 +32,19 @@ def test_theorem1_needs_two_agents():
         check_theorem1(_params(), n=1)
 
 
+def test_corollary1_needs_two_agents():
+    with pytest.raises(ValueError, match="n >= 2"):
+        check_corollary1(_params(), n=1)
+
+
+@pytest.mark.parametrize("check", [check_corollary1, check_theorem2,
+                                   lambda p: check_theorem3(p, ReferenceSchedule([0.0]))],
+                         ids=["corollary1", "theorem2", "theorem3"])
+def test_leader_checks_validate_params(check):
+    with pytest.raises(ValueError, match="eta must be positive"):
+        check(_params(alpha_n=0.3, eta=0.0))
+
+
 def test_theorem1_report_arithmetic_self_consistent():
     rep = check_theorem1(_params())
     assert rep.satisfied == (rep.lhs <= rep.rhs)

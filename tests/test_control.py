@@ -127,9 +127,9 @@ def test_leader_control_tracks_schedule_switches():
     state = _clustered_state([0.0, 0.0], leader_mask=[False, True])
     g = build_graph(state.positions, 1.0)
     schedule = ReferenceSchedule(headings=[0.0, np.pi / 2], epsilon=0.05)
-    sig0 = leader_control(1, state, g, TAU, 1.0, schedule.current_heading, 0.0)
+    sig0 = leader_control(1, state, g, TAU, 1.0, schedule.headings[0], 0.0)
     assert sig0.omega == 0.0
-    assert schedule.maybe_advance(state)  # all headings at 0 = current reference
-    sig1 = leader_control(1, state, g, TAU, 1.0, schedule.current_heading, 0.0)
+    assert schedule.maybe_advance(state, 0)  # all headings at 0 = the segment's reference
+    sig1 = leader_control(1, state, g, TAU, 1.0, schedule.headings[1], 0.0)
     assert sig1.omega == pytest.approx((np.pi / 2) / TAU, rel=1e-14)
 

@@ -150,13 +150,17 @@ def test_run_without_mallopt_runs_unchanged(monkeypatch, error):
 
 
 def test_load_trajectory_roundtrip(tmp_path):
-    cfg = _leaderless_config(seed=7)
-    result = run(cfg, out_dir=tmp_path)
-    loaded = load_trajectory(tmp_path)
-    np.testing.assert_array_equal(loaded.positions, result.trajectory.positions)
-    np.testing.assert_array_equal(loaded.headings, result.trajectory.headings)
-    np.testing.assert_array_equal(loaded.speeds, result.trajectory.speeds)
-    np.testing.assert_array_equal(loaded.leader_mask, result.trajectory.leader_mask)
+    # the second config's agents drift out of the unit square
+    fast = RunConfig(params=ModelParams(n=10, r_n=0.5, v_n=1.0, tau_n=0.1), steps=50, seed=0)
+    for i, (cfg, left) in enumerate([(_leaderless_config(seed=7), False), (fast, True)]):
+        result = run(cfg, out_dir=tmp_path / str(i))
+        loaded = load_trajectory(tmp_path / str(i))
+        np.testing.assert_array_equal(loaded.positions, result.trajectory.positions)
+        np.testing.assert_array_equal(loaded.headings, result.trajectory.headings)
+        np.testing.assert_array_equal(loaded.speeds, result.trajectory.speeds)
+        np.testing.assert_array_equal(loaded.leader_mask, result.trajectory.leader_mask)
+        assert loaded.left_unit_square is result.trajectory.left_unit_square is left
+        assert result.meta["left_unit_square"] is left
 
 
 def _stored_rows(tmp_path):
