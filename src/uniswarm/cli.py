@@ -2,9 +2,10 @@
 
 Exit codes: 0 on success, 1 when a proof-inequality audit fails, 2 on a
 configuration error, 3 on any other error (such as a swarm or a run too
-large to allocate), each error reported in one line on stderr.  The output
-directory is ``--out``, else the UNISWARM_OUT environment variable, else (for
-``run``) the config's ``outputs``, else a default under ``runs/``.
+large to allocate, or a campaign run that raised, once the campaign's
+summary is written), each error reported in one line on stderr.  The
+output directory is ``--out``, else the UNISWARM_OUT environment variable,
+else (for ``run``) the config's ``outputs``, else a default under ``runs/``.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ def _cmd_campaign(args) -> int:
           f"connectivity fraction {summary.connectivity_fraction:.3f}")
     if summary.errors:
         print(f"{len(summary.errors)} runs errored", file=sys.stderr)
+        return EXIT_ERROR
     fails = summary.audit_verdicts["recursion_fail"] + summary.audit_verdicts["envelope_fail"]
     return EXIT_AUDIT_FAIL if fails else EXIT_OK
 

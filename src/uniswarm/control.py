@@ -36,17 +36,15 @@ def follower_control(agent: int, state: SwarmState, graph: ProximityGraph, tau: 
 
 
 def leader_control(agent: int, state: SwarmState, graph: ProximityGraph, tau: float,
-                   vartheta: float, reference_heading: float, reference_speed: float,
-                   strict: bool = False) -> ControlSignal:
+                   vartheta: float, reference_heading: float,
+                   reference_speed: float) -> ControlSignal:
     """Leader control: blend the reference pull with the neighbor average.
 
-    strict mode rejects vartheta = 0 (the leader would degenerate to a
-    follower); sensitivity runs may still use it.
+    vartheta = 0 degenerates the leader to a follower; sensitivity runs may
+    use it, and ``ModelParams.validate(strict=True)`` rejects it.
     """
     if not state.leader_mask[agent]:
         raise ValueError(f"role mismatch: agent {agent} is a follower")
-    if strict and not vartheta > 0:
-        raise ValueError("strict mode requires 0 < vartheta <= 1")
     local = follower_control(agent, state, graph, tau)
     omega = (vartheta * (reference_heading - float(state.headings[agent]))
              + (1.0 - vartheta) * local.omega * tau) / tau

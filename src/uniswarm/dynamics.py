@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import STRICT_ETA_MAX, GraphSweep, ProximityGraph, connectivity
-from .graphs import build_graph  # noqa: F401  (a layer boundary that perfbench/tracing.py wraps)
+from .graphs import GraphSweep, ProximityGraph
+from .graphs import build_graph, connectivity  # noqa: F401  (wrapped by perfbench/tracing.py)
 
+STRICT_ETA_MAX = 1.0 / 512.0
 STRICT_C_MAX = 1.0 / (144.0 * 320.0)
 STRICT_C_PRIME_MAX = 1.0 / 144.0
 
@@ -435,13 +436,16 @@ class Trajectory:
     params: ModelParams
     controller: str
     reference_headings: np.ndarray  # (K,) theta-bar used on each interval (nan if leaderless)
-    reference_speed: float
-    connected: np.ndarray  # (K+1,) connectivity of the graph at each instant
     switch_log: list = field(default_factory=list)  # the instants the schedule switched at
 
     @property
     def n_steps(self) -> int:
         return len(self.times) - 1
+
+    @property
+    def reference_speed(self) -> float:
+        """The leaders' reference speed v_n; nan in a leaderless run."""
+        return self.params.v_n if self.controller != LEADERLESS else float("nan")
 
     @property
     def left_unit_square(self) -> bool:
@@ -492,7 +496,7 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
     discards the rest of the block and continues from there.  So the
     schedule sees each instant 0..steps-1 once, in order, and no switch is
     ever undone.  The numbers are those of a loop that steps one instant at
-    a time.  Connectivity is searched only when the graph changed.
+    a time.
 
     The convexity check (leaderless runs) and the integration oracle cover
     the kept steps only.  ``integration_check`` is one of off/sampled/full and
@@ -523,7 +527,6 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
     headings = np.empty((steps + 1, m))
     speeds = np.empty((steps + 1, m))
     references = np.full(steps, reference_heading if controller == LEADER_CONSTANT else np.nan)
-    connected = np.empty(steps + 1, dtype=bool)
     positions[0] = state.positions
     headings[0] = state.headings
     speeds[0] = state.speeds
@@ -543,7 +546,6 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
 
     sweep = GraphSweep(params.r_n, params.self_inclusive)
     graph, distances = next(sweep.runs(positions[:1]))
-    connected[0] = is_connected = connectivity(graph)
     if observer is not None:
         observer(graph, distances)
     if controller == LEADER_DYNAMIC:
@@ -575,13 +577,11 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
                 # the graph changed at the run's first instant, the last that
                 # the previous graph determines
                 graph, ended, n = run_graph, True, 1
-                is_connected = connectivity(graph)
             if controller == LEADER_DYNAMIC:
                 for j in range(kept + 1, min(kept + n + 1, steps)):
                     if switched(j):
                         n, ended = j - kept, True
                         break
-            connected[kept + 1:kept + n + 1] = is_connected
             if observer is not None:
                 observer(graph, distances[:n])
             kept += n
@@ -599,8 +599,7 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
     return Trajectory(times=np.arange(steps + 1) * tau, positions=positions,
                       headings=headings, speeds=speeds, leader_mask=mask,
                       params=params, controller=controller, reference_headings=references,
-                      reference_speed=params.v_n if controller != LEADERLESS else float("nan"),
-                      connected=connected, switch_log=switch_log)
+                      switch_log=switch_log)
 
 
 def _verify_integration(positions: np.ndarray, headings: np.ndarray, speeds: np.ndarray,

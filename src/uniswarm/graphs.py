@@ -363,20 +363,11 @@ def _extremal_eigenvalues(graph: ProximityGraph):
     return eigenvalues, eigenvalues[1], eigenvalues[2], connected
 
 
-STRICT_ETA_MAX = 1.0 / 512.0
-
-
 def ring_sets(initial_positions: np.ndarray, radius: float, eta: float,
-              leader_mask: np.ndarray | None = None, strict: bool = False) -> list[RingSet]:
-    """Per-node annulus membership [(1-eta)r, (1+eta)r], split by role.
-
-    ``strict`` enforces eta <= 1/512; otherwise any eta in (0, 1) is allowed
-    for sensitivity studies.
-    """
+              leader_mask: np.ndarray | None = None) -> list[RingSet]:
+    """Per-node annulus membership [(1-eta)r, (1+eta)r], split by role, for any eta > 0."""
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    if strict and eta > STRICT_ETA_MAX:
-        raise ValueError(f"strict mode requires eta <= 1/512, got {eta}")
     positions = np.asarray(initial_positions, dtype=float)
     m = positions.shape[0]
     if leader_mask is None:

@@ -81,8 +81,8 @@ class RunConfig:
         _validate_run_fields(self.params, self.steps, self.mode, self.reference_heading)
         if self.audit_level not in AUDIT_LEVELS:
             raise ValueError(f"audit_level must be one of {AUDIT_LEVELS}")
-        for name in ("seed", "substeps"):
-            _require_integer(name, getattr(self, name))
+        _require_seed(self.seed)
+        _require_integer("substeps", self.substeps)
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
         if self.outputs is not None and not isinstance(self.outputs, (str, Path)):
@@ -168,6 +168,13 @@ def _params(data: dict) -> ModelParams:
         return ModelParams(**_section(data, "params"))
     except TypeError as exc:  # a parameter missing or unknown
         raise ValueError(f"params: {exc}") from None
+
+
+def _require_seed(seed) -> None:
+    """Raises ValueError unless ``seed`` is a non-negative integer, as SeedSequence takes it."""
+    _require_integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
 def _validate_run_fields(params: ModelParams, steps, mode, reference_heading) -> None:
@@ -288,7 +295,7 @@ def run(config: RunConfig, out_dir: str | Path | None = None) -> RunResult:
         recursion = instants.recursion_audit(traj, substep_count=config.substeps)
         envelope = instants.geometric_envelope_audit(traj)
     sync_index = sync_detect(traj, 1e-6, 1e-6)
-    disconnected = np.flatnonzero(~traj.connected)
+    disconnected = np.flatnonzero(np.logical_not(instants.connected))
 
     meta = {
         "schema_version": SCHEMA_VERSION,
@@ -301,7 +308,7 @@ def run(config: RunConfig, out_dir: str | Path | None = None) -> RunResult:
         "left_unit_square": traj.left_unit_square,
         "sync_index": sync_index,
         "graph_changes": instants.graph_changes,
-        "connected_fraction": float(traj.connected.mean()),
+        "connected_fraction": float(np.mean(instants.connected)),
         "first_disconnected_step": int(disconnected[0]) if len(disconnected) else None,
         "wallclock": time.time() - started,
     }
@@ -449,13 +456,10 @@ def load_trajectory(run_dir) -> Trajectory:
     refs = np.full(steps, np.nan)
     if mode == LEADER_CONSTANT:
         refs[:] = reference_heading
-    # connectivity is not stored in trajectory.csv, and no audit reads it
-    connected = np.zeros(n_instants, dtype=bool)
     return Trajectory(times=np.arange(n_instants) * params.tau_n, positions=positions,
                       headings=headings, speeds=speeds, leader_mask=leader_mask,
                       params=params, controller=mode, reference_headings=refs,
-                      reference_speed=params.v_n if mode != LEADERLESS else float("nan"),
-                      connected=connected, switch_log=switch_log)
+                      switch_log=switch_log)
 
 
 def _cached_values(run_dir: Path, meta: dict, params: ModelParams) -> np.ndarray | None:
@@ -536,11 +540,13 @@ def campaign(base: RunConfig, seeds: list[int], out_dir: str | Path | None = Non
              keep_results: bool = False) -> CampaignSummary | tuple:
     """Run the base config once per seed and aggregate.
 
-    Per-run failures are recorded, not fatal.  Aggregation is invariant to
-    the order of the seed list (records are sorted by seed).
+    Seeds are checked before the first run; per-run failures are recorded, not fatal.
+    Aggregation is invariant to the order of the seed list (records are sorted by seed).
     """
     if not seeds:
         raise ValueError("campaign needs at least one seed")
+    for seed in seeds:
+        _require_seed(seed)
     per_run: list[dict] = []
     errors: list[dict] = []
     results = []
@@ -562,7 +568,7 @@ def campaign(base: RunConfig, seeds: list[int], out_dir: str | Path | None = Non
             "final_tracking_theta": None if np.isnan(final.tracking_theta)
             else final.tracking_theta,
             "final_tracking_v": None if np.isnan(final.tracking_v) else final.tracking_v,
-            "connected_all": bool(result.trajectory.connected.all()),
+            "connected_all": all(row.connected for row in result.metrics),
             "switch_log": result.trajectory.switch_log,
         }
         if result.recursion is not None:

@@ -377,25 +377,26 @@ class RunPass:
     Give :meth:`observe` to :func:`run_epoch` of the state ``initial`` as
     its ``observer``: it then sees each instant's graph and condensed
     distances once, in runs of instants on one graph, and computes the terms
-    of a graph only when the graph object differs from the previous run's
-    (see :class:`GraphSweep`).  The first call's first instant is k = 0,
-    whose graph and distances make :attr:`baseline`, so they are computed
-    once per run.  After the run, :meth:`step_metrics`,
-    :meth:`recursion_audit` and :meth:`geometric_envelope_audit` give what
-    the public functions of the same names give on the trajectory.
+    of a graph, its connectivity among them, only when the graph object
+    differs from the previous run's (see :class:`GraphSweep`).  The first
+    call's first instant is k = 0, whose graph and distances make
+    :attr:`baseline`, so they are computed once per run.  After the run,
+    :meth:`step_metrics`, :meth:`recursion_audit` and :meth:`geometric_envelope_audit`
+    give what the public functions of the same names give on the trajectory.
     """
 
     def __init__(self, initial: SwarmState):
         self.initial = initial
         self.baseline: MetricsBaseline | None = None  # set by the first observe()
         self.graph_changes = 0  # instants whose graph differs from the previous instant's
+        self.connected: list[bool] = []  # whether each instant's graph is connected
         self._drift: list[float] = []  # max |Delta(t_k) - Delta(0)|
         self._distance_change: list[float] = []  # max |Delta(t_{k+1}) - Delta(t_k)|
         self._p_deviation: list[float] = []
         self._alpha_drift: list[float] = []
         self._first_empty: int | None = None
         self._graph: ProximityGraph | None = None
-        self._graph_terms = (0.0, 0.0, False)
+        self._graph_terms = (0.0, 0.0, False, False)
         self._last: np.ndarray | None = None  # the distances of the last run seen
 
     def observe(self, graph: ProximityGraph, distances: np.ndarray) -> None:
@@ -416,12 +417,13 @@ class RunPass:
             self.graph_changes += self._graph is not None
             self._graph = graph
             self._graph_terms = (_p_deviation(graph, self.baseline),
-                                 *_leader_terms(graph, self.baseline))
-        p_dev, alpha_drift, empty = self._graph_terms
+                                 *_leader_terms(graph, self.baseline), connectivity(graph))
+        p_dev, alpha_drift, empty, connected = self._graph_terms
         if empty and self._first_empty is None:
             self._first_empty = k
         self._p_deviation += [p_dev] * n
         self._alpha_drift += [alpha_drift] * n
+        self.connected += [connected] * n
 
     def step_metrics(self, traj: Trajectory) -> list[StepMetrics]:
         """One row per instant; instant k > 0 is tracked against the reference
@@ -432,7 +434,7 @@ class RunPass:
                                 np.full(steps + 1, traj.reference_speed))
         return [StepMetrics(k, *row) for k, row in enumerate(zip(
             *(c.tolist() for c in columns), self._drift, self._p_deviation, self._alpha_drift,
-            traj.connected.tolist()))]
+            self.connected))]
 
     def recursion_audit(self, traj: Trajectory, substep_count: int = 16) -> RecursionAuditReport:
         return _recursion_audit(traj, substep_count, np.array(self._distance_change))

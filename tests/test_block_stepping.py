@@ -162,7 +162,7 @@ def _run_both(params, steps, seed, controller=LEADERLESS, headings=None, epsilon
     want = _oracle_run_epoch(state, params, steps, controller, schedule, reference_heading,
                              integration_check, want_observe)
 
-    for name in ("positions", "headings", "speeds", "connected"):
+    for name in ("positions", "headings", "speeds"):
         assert np.array_equal(getattr(traj, name), want[name]), name
     assert np.array_equal(traj.reference_headings, want["references"], equal_nan=True)
     assert traj.switch_log == want["switch_log"]
@@ -175,6 +175,7 @@ def _run_both(params, steps, seed, controller=LEADERLESS, headings=None, epsilon
         assert np.array_equal(adj, wadj) and np.array_equal(dist, wdist)
     reused = [a[0] is b[0] for a, b in zip(seen[1:], seen[:-1])]
     assert reused == [a[0] is b[0] for a, b in zip(want_seen[1:], want_seen[:-1])]
+    assert [connectivity(g) for g, _, _ in seen] == want["connected"].tolist()
     if logged is not None:
         # the schedule saw each instant once, in order, with its positions; the
         # segment never moved back, and moved on by one exactly where the

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uniswarm import ModelParams, RunConfig
-from uniswarm import cli
+from uniswarm import cli, harness
 from uniswarm.cli import EXIT_AUDIT_FAIL, EXIT_CONFIG, EXIT_ERROR, EXIT_OK, _parse_seeds, main
 
 
@@ -25,6 +25,9 @@ def test_parse_seeds_forms():
     assert _parse_seeds("3") == [0, 1, 2]
     assert _parse_seeds("2..4") == [2, 3, 4]
     assert _parse_seeds("7,1,3") == [7, 1, 3]
+    # the spec is parsed as written; campaign() rejects negative seeds
+    assert _parse_seeds("-3..-1") == [-3, -2, -1]
+    assert _parse_seeds("4,-1") == [4, -1]
 
 
 def test_run_subcommand(tmp_path, config_path, capsys):
@@ -50,6 +53,34 @@ def test_campaign_subcommand(tmp_path, config_path, capsys):
     data = json.loads((out / "campaign_summary.json").read_text())
     assert len(data["per_run"]) == 3
     assert "campaign: 3 runs" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spec", ["-3..-1", "4,-1"])
+def test_campaign_with_negative_seeds_exits_2(tmp_path, config_path, capsys, spec):
+    out = tmp_path / "camp"
+    assert main(["campaign", "--config", str(config_path), f"--seeds={spec}",
+                 "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be a non-negative integer") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_campaign_with_a_run_that_raised_exits_3(tmp_path, config_path, capsys, monkeypatch):
+    run = harness.run
+
+    def fail_seed_1(config):
+        if config.seed == 1:
+            raise RuntimeError("run failed")
+        return run(config)
+
+    monkeypatch.setattr(harness, "run", fail_seed_1)
+    out = tmp_path / "camp"
+    assert main(["campaign", "--config", str(config_path), "--seeds", "0..2",
+                 "--out", str(out)]) == EXIT_ERROR
+    data = json.loads((out / "campaign_summary.json").read_text())
+    assert data["errors"] == [{"seed": 1, "error": "run failed"}]
+    assert [r["seed"] for r in data["per_run"]] == [0, 2]
+    assert "1 runs errored" in capsys.readouterr().err
 
 
 def test_check_subcommand(config_path, capsys):
@@ -107,7 +138,8 @@ _SET_ALONGSIDE = {("tau_n", 1e100): {"v_n": 1e300}}
     ("steps", 10.5), ("steps", True), ("steps", "3"), ("seed", 1.7), ("seed", False),
     ("substeps", 2.5), ("substeps", None), ("self_inclusive", "no"), ("self_inclusive", 1),
     ("r_n", True), ("vartheta", False), ("tau_n", 1e308), ("reference_heading", True),
-    ("reference_heading", "0.5"), ("tau_n", 1e154), ("tau_n", 1e100), ("eta", 0.0)])
+    ("reference_heading", "0.5"), ("tau_n", 1e154), ("tau_n", 1e100), ("eta", 0.0),
+    ("seed", -1)])
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second stderr line
 def test_config_field_of_wrong_type_or_not_finite_exits_2(tmp_path, capsys, field, value):
     # json.dumps writes nan and inf as NaN and Infinity, which json.load reads back

@@ -68,12 +68,10 @@ def test_leader_control_role_mismatch():
                        0.5, 0.0, 0.0)
 
 
-def test_leader_control_strict_rejects_zero_vartheta():
+def test_leader_control_allows_zero_vartheta():
+    # sensitivity runs may use it; ModelParams.validate(strict=True) rejects it
     state = _clustered_state([0.0, 0.0], leader_mask=[False, True])
-    g = build_graph(state.positions, 1.0)
-    with pytest.raises(ValueError, match="vartheta"):
-        leader_control(1, state, g, TAU, 0.0, 0.5, 0.1, strict=True)
-    leader_control(1, state, g, TAU, 0.0, 0.5, 0.1)  # sensitivity mode allows it
+    leader_control(1, state, build_graph(state.positions, 1.0), TAU, 0.0, 0.5, 0.1)
 
 
 def test_hold_and_integrate_equivalence_followers():

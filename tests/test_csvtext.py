@@ -234,8 +234,7 @@ def _random_trajectory(instants: int, m: int, seed: int) -> Trajectory:
                       headings=values[..., 2].copy(), speeds=values[..., 3].copy(),
                       leader_mask=rng.random(m) < 0.3,
                       params=ModelParams(n=m, r_n=0.5, v_n=0.1, tau_n=0.01),
-                      controller=LEADER_CONSTANT, reference_headings=np.zeros(instants - 1),
-                      reference_speed=0.1, connected=np.ones(instants, dtype=bool))
+                      controller=LEADER_CONSTANT, reference_headings=np.zeros(instants - 1))
 
 
 @pytest.mark.parametrize("instants, m", [

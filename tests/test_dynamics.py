@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,8 +22,17 @@ def test_model_params_validation():
         ModelParams(n=5, r_n=0.3, v_n=0.1, tau_n=0.0).validate()
     with pytest.raises(ValueError, match="alpha_n"):
         ModelParams(n=5, r_n=0.3, v_n=0.1, tau_n=0.01, alpha_n=1.5).validate()
-    with pytest.raises(ValueError, match="strict"):
-        ModelParams(n=5, r_n=0.3, v_n=0.1, tau_n=0.01, eta=0.1).validate(strict=True)
+
+
+@pytest.mark.parametrize("field, value, rule", [
+    ("eta", 0.1, "eta <= 1/512"), ("vartheta", 0.0, "0 < vartheta"),
+    ("c", 1.01 / (144 * 320), "c <= 1/(144*320)"), ("c_prime", 1.01 / 144, "c_prime <= 1/144")],
+    ids=["eta", "vartheta", "c", "c_prime"])
+def test_model_params_strict_rules(field, value, rule):
+    params = ModelParams(n=5, r_n=0.3, v_n=0.1, tau_n=0.01, **{field: value})
+    params.validate()  # sensitivity studies may leave the proofs' constants
+    with pytest.raises(ValueError, match=f"strict mode requires {re.escape(rule)}"):
+        params.validate(strict=True)
 
 
 def test_leader_count_ceiling():
