@@ -39,10 +39,21 @@ def _parse_seeds(spec: str) -> list[int]:
     return list(range(int(spec)))
 
 
+def _validated(config: RunConfig) -> RunConfig:
+    """``config`` with its command-line overrides, checked as a config file
+    is: a bad value is a ConfigError."""
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return config
+
+
 def _cmd_run(args) -> int:
     config = RunConfig.from_json(args.config)
     if args.seed is not None:
         config.seed = args.seed
+        _validated(config)
     out = _out_dir(args.out, config.outputs or "runs/run")
     result = run(config, out_dir=out)
     print(f"run complete: {config.steps} steps, seed {config.seed}, outputs in {out}")
@@ -59,6 +70,9 @@ def _cmd_campaign(args) -> int:
         seeds = _parse_seeds(args.seeds)
     except ValueError:
         print(f"config error: cannot parse seed spec {args.seeds!r}", file=sys.stderr)
+        return EXIT_CONFIG
+    if not seeds:
+        print(f"config error: seed spec {args.seeds!r} names no seeds", file=sys.stderr)
         return EXIT_CONFIG
     out = _out_dir(args.out, "runs/campaign")
     summary = campaign(config, seeds, out_dir=out)
@@ -87,7 +101,7 @@ def _cmd_scenario(args) -> int:
     if args.name != "fig3":
         print(f"unknown scenario {args.name!r}; available: fig3", file=sys.stderr)
         return EXIT_CONFIG
-    config = scenario_fig3(seed=args.seed, steps=args.steps)
+    config = _validated(scenario_fig3(seed=args.seed, steps=args.steps))
     out = _out_dir(args.out, "runs/fig3")
     result = run(config, out_dir=out)
     print(f"scenario fig3: switches at {result.trajectory.switch_log}, outputs in {out}")

@@ -10,6 +10,7 @@ kept for sensitivity runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -149,15 +150,94 @@ def _distance_chunks(positions: np.ndarray):
             for x, out in zip(chunk, distances):
                 pdist(x, out=out)
         else:
-            # sqrt((x_i - x_j)^2 + (y_i - y_j)^2), the arithmetic of pdist and
-            # cdist, which overflows to inf without a warning as they do
-            with np.errstate(over="ignore"):
-                step = np.take(chunk, first, axis=1)
-                step -= np.take(chunk, second, axis=1)
-                step *= step
-                distances = np.add(step[..., 0], step[..., 1])
-            np.sqrt(distances, out=distances)
+            distances = _pair_distances(chunk, first, second)
         yield distances
+
+
+def _pair_distances(positions: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The (n, C) distances of the agent pairs (first[c], second[c]) at the
+    (n, m, 2) ``positions``: sqrt((x_i - x_j)^2 + (y_i - y_j)^2), the
+    arithmetic of pdist and cdist, which overflows to inf without a warning
+    as they do."""
+    with np.errstate(over="ignore"):
+        step = np.take(positions, first, axis=1)
+        step -= np.take(positions, second, axis=1)
+        step *= step
+        distances = np.add(step[..., 0], step[..., 1])
+    return np.sqrt(distances, out=distances)
+
+
+# --- the band of pairs that can change neighbor relation ----------------------
+#
+# Between an anchor instant a and an instant t, every agent i moves by
+# w_i = x_i(t) - x_i(a), and for any point c the distance of a pair changes
+# by |Delta_ij(t) - Delta_ij(a)| <= |w_i - w_j| <= 2 rho_t, with
+# rho_t = max_i |w_i - c|; c is the centre of the bounding box of the w_i.
+# This is the paper's ring-set argument with the drift measured rather than
+# budgeted: a pair whose anchor distance is farther than 2 rho_t from the
+# radius has the same neighbor relation at t as at a.  Only the pairs in
+# the band |Delta_ij(a) - r| <= 2 rho_t need their distance at t.
+#
+# The sweep decides on computed values, so the band carries an allowance
+# for their rounding.  With u = 2^-53 the unit roundoff:
+# - A pdist distance d^ of an exact distance d: the difference, the two
+#   squares, the sum and the square root each round by a factor 1 + u, and
+#   the square root halves the error of its argument, so
+#   |d^ - d| <= 3u d + 2^-537.  The last term is underflow: squared
+#   differences below about 1e-154 are subnormal and round by up to 2^-1075
+#   each, and sqrt(2^-1074) = 2^-537.  Overflow gives inf, which an anchor
+#   may not hold (see below).
+# - The displacements w^_i = fl(x_i(t) - x_i(a)) round by u |w_i|, which is
+#   large next to rho when the swarm has drifted far as a whole since the
+#   anchor.  With M the largest |coordinate| of any w^_i, this adds at most
+#   sqrt(2) u M (1 + u) to rho.  rho^, the largest pdist-rounded norm of
+#   w^_i - c, understates max_i |w^_i - c| by at most 3u rho + 2^-537.
+# - So |d^_t - d^_a| <= 2 rho^ (1 + 6.1u) + 2.9u M + 6.1u (r + g) + 2^-534,
+#   with g = |d^_a - r|.  A pair is kept out of the band only when the
+#   computed margin g^ = fl(g) exceeds the computed band; the 6.1u g term
+#   and the rounding of g^ and of the band itself (four operations on
+#   non-negative terms) are covered when the band is taken as
+#       2 rho^ + _BAND_ROUNDING (rho^ + M + r) + _BAND_UNDERFLOW,
+#   _BAND_ROUNDING = 64u = 2^-47 against the 27u, 3u and 6.2u needed and
+#   _BAND_UNDERFLOW = 2^-530 against the 2^-533.9 needed.
+# A band or rho that is not finite (an overflowing displacement or offset)
+# holds every pair, which sends the sweep back to a full evaluation, as does
+# an anchor with a distance that is not finite.
+_BAND_ROUNDING = 2.0 ** -47
+_BAND_UNDERFLOW = 2.0 ** -530
+
+# The share of the pairs above which a band costs about as much as all the
+# pairs: the sweep then computes a full chunk of distances and anchors anew.
+_BAND_SHARE = 0.125
+
+
+def _spread(displacements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rho_t and M_t of each instant t of the (n, m, 2) ``displacements``
+    since the anchor: the largest pdist-rounded distance of an agent's
+    displacement from the centre of their bounding box, and the largest
+    |coordinate| of a displacement.  The coordinates are reduced as two
+    (n, m) views, which numpy reduces faster than the middle axis."""
+    x, y = displacements[..., 0], displacements[..., 1]
+    high_x, low_x, high_y, low_y = x.max(axis=1), x.min(axis=1), y.max(axis=1), y.min(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets_x = x - ((high_x + low_x) / 2)[:, None]
+        offsets_y = y - ((high_y + low_y) / 2)[:, None]
+        offsets_x *= offsets_x
+        offsets_y *= offsets_y
+        offsets_x += offsets_y
+        rho = np.sqrt(offsets_x.max(axis=1))
+    scale = np.maximum(np.maximum(np.abs(high_x), np.abs(low_x)),
+                       np.maximum(np.abs(high_y), np.abs(low_y)))
+    return rho, scale
+
+
+def _bands(displacements: np.ndarray, radius: float) -> np.ndarray:
+    """The band of each instant of the (n, m, 2) ``displacements`` since the
+    anchor (see _BAND_ROUNDING), inf where it is not finite."""
+    rho, scale = _spread(displacements)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bands = 2 * rho + _BAND_ROUNDING * (rho + scale + radius) + _BAND_UNDERFLOW
+    return np.where(np.isfinite(bands), bands, np.inf)
 
 
 def _checked_radius(radius: float) -> float:
@@ -178,14 +258,17 @@ class GraphSweep:
     """The neighbor graphs of successive sampling instants.
 
     Neighbor relations change only at sampling instants, and between most
-    consecutive instants they do not change at all.  The sweep computes one
-    condensed distance vector per instant (see :func:`_distance_chunks`)
-    and compares its strict-``<`` pairs with the current graph's, a chunk of
-    instants at a time (see :meth:`runs`); while they are equal, it keeps
-    the previous :class:`ProximityGraph` object itself, so a caller that
-    keeps quantities derived from a graph reuses them while ``graph is
-    previous``.  Only a changed graph gets an m x m adjacency.  An adjacency
-    that returns to an earlier, non-adjacent instant's gets a new object.
+    consecutive instants they do not change at all.  The sweep compares
+    each instant's strict-``<`` pairs with the current graph's, a chunk of
+    instants at a time; while they are equal, it keeps the previous
+    :class:`ProximityGraph` object itself, so a caller that keeps quantities
+    derived from a graph reuses them while ``graph is previous``.  Only a
+    changed graph gets an m x m adjacency.  An adjacency that returns to an
+    earlier, non-adjacent instant's gets a new object.  :meth:`runs` also
+    gives the condensed distances of every instant (see
+    :func:`_distance_chunks`); :meth:`graphs` gives the graphs alone, from the
+    distances of the pairs near the radius, and reuses graph objects exactly
+    where :meth:`runs` does.
     """
 
     def __init__(self, radius: float, self_inclusive: bool = True):
@@ -193,23 +276,50 @@ class GraphSweep:
         self.self_inclusive = self_inclusive
         self.graph: ProximityGraph | None = None  # the graph of the last instant taken
         self._pairs: np.ndarray | None = None  # the condensed adjacency of ``graph``
-        # per agent count m: the flat indices i*m + j and j*m + i of the pairs i < j
-        self._scatter: tuple[int, np.ndarray, np.ndarray] | None = None
+        self._index: tuple | None = None  # see _pair_index, for the last agent count m
+
+    def _pair_index(self, m: int) -> tuple[np.ndarray, ...]:
+        """For m agents, the agents i < j of each condensed pair and the flat
+        indices i*m + j and j*m + i of the pairs in an m x m matrix."""
+        if self._index is None or self._index[0] != m:
+            first, second = np.triu_indices(m, 1)
+            self._index = (m, first, second, first * m + second, second * m + first)
+        return self._index[1:]
 
     def _adjacency(self, pairs: np.ndarray, m: int) -> np.ndarray:
         """The m x m adjacency of the condensed ``pairs``, the diagonal set to
         ``self_inclusive``: the pairs scattered into both triangles, the same
         matrix as ``scipy.spatial.distance.squareform`` gives."""
-        if self._scatter is None or self._scatter[0] != m:
-            first, second = np.triu_indices(m, 1)
-            self._scatter = (m, first * m + second, second * m + first)
-        _, upper, lower = self._scatter
+        _, _, upper, lower = self._pair_index(m)
         adjacency = np.zeros((m, m), dtype=bool)
         flat = adjacency.reshape(-1)
         flat[upper] = pairs
         flat[lower] = pairs
         np.fill_diagonal(adjacency, self.self_inclusive)
         return adjacency
+
+    def _take(self, rows: np.ndarray, m: int, pairs_of=None):
+        """Yields (graph, start, stop) for the runs of instants on one graph
+        among the successive instants of the (n, C) bool ``rows``.  A row
+        holds an instant's pairs within the radius, or, with ``pairs_of``,
+        the part of them that can differ between the n instants, and
+        ``pairs_of(j)`` gives instant j's condensed pairs.  The first instant
+        is compared with the current graph's pairs, the others with the
+        instant before them."""
+        pairs_of = pairs_of or rows.__getitem__
+        start, n = 0, len(rows)
+        while start < n:
+            if start or self.graph is None or not np.array_equal(pairs_of(start), self._pairs):
+                self._pairs = pairs_of(start)
+                self.graph = ProximityGraph(radius=self.radius,
+                                            adjacency=self._adjacency(self._pairs, m),
+                                            self_inclusive=self.self_inclusive)
+            stop = start + 1
+            if stop < n:
+                changed = np.flatnonzero((rows[stop:] != rows[start]).any(axis=1))
+                stop = stop + int(changed[0]) if len(changed) else n
+            yield self.graph, start, stop
+            start = stop
 
     def runs(self, positions: np.ndarray):
         """Yields the next instants, whose agent positions are the (N, m, 2)
@@ -231,21 +341,100 @@ class GraphSweep:
         if positions.ndim == 3 and not len(positions):
             return  # no instants
         for distances in _distance_chunks(_shaped_positions(positions, ndim=3)):
-            n = len(distances)
-            chunk = distances < self.radius
-            start = 0
-            while start < n:
-                if self.graph is None or not np.array_equal(chunk[start], self._pairs):
-                    self._pairs = chunk[start]
-                    adjacency = self._adjacency(self._pairs, positions.shape[1])
-                    self.graph = ProximityGraph(radius=self.radius, adjacency=adjacency,
-                                                self_inclusive=self.self_inclusive)
-                stop = start + 1
-                if stop < n:
-                    changed = np.flatnonzero((chunk[stop:] != self._pairs).any(axis=1))
-                    stop = stop + int(changed[0]) if len(changed) else n
-                yield self.graph, distances[start:stop]
-                start = stop
+            for graph, start, stop in self._take(distances < self.radius, positions.shape[1]):
+                yield graph, distances[start:stop]
+
+    def graphs(self, positions: np.ndarray):
+        """Yields the graphs of the instants of :meth:`runs` as runs
+        (graph, n) of n consecutive instants, the same graph objects at the
+        same instants, without the distances of every pair at every instant.
+
+        The first instants get a full chunk of condensed distances, whose
+        last instant becomes the anchor.  The next instants are taken from
+        their bands around the anchor (see :meth:`_band_runs`): only the
+        pairs near the radius are evaluated.  Where a band would hold more
+        than _BAND_SHARE of the pairs, the sweep computes a full chunk again
+        and anchors anew at its end.  Before it tries a band, it estimates
+        the band at the horizon, the last instant of the next full chunk, by
+        the diagonal of the displacements' bounding box, which is at least
+        2 rho: where that holds too many pairs, no band would outlast the
+        chunk.  After k such estimates fail in a row, the next 2^k - 1
+        anchors are passed over, so a swarm whose neighbor relations churn
+        costs about what :meth:`runs` costs.  The positions are checked to
+        be finite a chunk or block of instants at a time.
+        """
+        positions = np.asarray(positions, dtype=float)
+        if positions.ndim == 3 and not len(positions):
+            return  # no instants
+        positions = _shaped_positions(positions, ndim=3)
+        total, m = positions.shape[:2]
+        limit = int(_BAND_SHARE * m * (m - 1) // 2)
+        k, chunks, failed, wait = 0, None, 0, 0
+        while k < total:
+            if chunks is None:
+                chunks = _distance_chunks(positions[k:])
+            distances = next(chunks)
+            for graph, start, stop in self._take(distances < self.radius, m):
+                yield graph, stop - start
+            k += len(distances)
+            if k == total or m < 2:
+                continue
+            if wait:
+                wait -= 1
+                continue
+            span = positions[min(k + len(distances), total) - 1] - positions[k - 1]
+            diagonal = math.hypot(*(span.max(axis=0) - span.min(axis=0)).tolist())
+            if np.count_nonzero(np.abs(distances[-1] - self.radius) <= diagonal) > limit:
+                failed += 1
+                wait = 2 ** failed - 1
+                continue
+            failed = 0
+            end = yield from self._band_runs(positions, k, distances[-1], limit)
+            if end > k:  # the next full chunk starts off the chunks' grid
+                k, chunks = end, None
+
+    def _band_runs(self, positions: np.ndarray, k: int, anchor: np.ndarray, limit: int):
+        """Yields the runs (graph, n) of the instants from k on for as long
+        as each one's band around the anchor, instant k - 1 with the
+        condensed distances ``anchor``, holds at most ``limit`` pairs, and
+        returns the first instant it did not take.
+
+        Instant t is evaluated only at the pairs within its band of the
+        radius, 2 rho_t plus the rounding allowance (see _BAND_ROUNDING):
+        no other pair can have crossed the radius since the anchor.  A block
+        of instants takes the widest band among them, so their pairs are
+        evaluated in one operation with the pdist arithmetic; no distance
+        that overflowed makes an anchor."""
+        if not np.isfinite(anchor).all():
+            return k
+        total, m = positions.shape[:2]
+        first, second, _, _ = self._pair_index(m)
+        margins = np.abs(anchor - self.radius)
+        order = np.argsort(margins)
+        margins = margins[order]
+        origin, anchor_pairs = positions[k - 1], anchor < self.radius
+        window = max(1, _CHUNK_BYTES // (16 * m))
+        while k < total:
+            block = positions[k:k + window]
+            _require_finite(block)
+            bands = np.maximum.accumulate(_bands(block - origin, self.radius))
+            counts = np.searchsorted(margins, bands, side="right")
+            n = int(np.count_nonzero(counts <= limit))
+            if not n:
+                break
+            band = order[:counts[n - 1]]
+            n = min(n, max(1, _CHUNK_BYTES // (16 * max(len(band), 1))))
+            inside = _pair_distances(block[:n], first[band], second[band]) < self.radius
+
+            def pairs_of(j):
+                pairs = anchor_pairs.copy()
+                pairs[band] = inside[j]
+                return pairs
+
+            for graph, start, stop in self._take(inside, m, pairs_of):
+                yield graph, stop - start
+            k += n
+        return k
 
 
 def connectivity(graph: ProximityGraph) -> bool:

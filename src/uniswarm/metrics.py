@@ -42,7 +42,9 @@ class MetricsBaseline:
 
     state: SwarmState
     graph: ProximityGraph
-    distances: np.ndarray  # condensed pairwise distances at k = 0 (see GraphSweep.runs)
+    # condensed pairwise distances at k = 0 (see GraphSweep.runs); None in the
+    # baseline of the re-audit's leader shares, which takes only graph terms
+    distances: np.ndarray | None
     alphas: np.ndarray  # alpha_i(0)
     # some agent's k = 0 neighborhood, the agent itself excluded, is empty;
     # computed for leader runs only
@@ -57,7 +59,7 @@ def metrics_baseline(initial: SwarmState, params: ModelParams) -> MetricsBaselin
 
 
 def _baseline(initial: SwarmState, graph: ProximityGraph,
-              distances: np.ndarray) -> MetricsBaseline:
+              distances: np.ndarray | None) -> MetricsBaseline:
     """The baseline of ``initial`` from its graph and condensed distances."""
     # without leaders every alpha_i is 0; the k = 0 graph then keeps no float adjacency
     if not initial.leader_mask.any():
@@ -166,20 +168,34 @@ def _distance_changes(positions: np.ndarray) -> np.ndarray:
 def _leader_shares(traj: Trajectory) -> tuple[np.ndarray, float, int | None]:
     """alpha_i(0), the alpha-drift mu, and the first instant with an empty
     neighborhood or None; when there is such an instant, the sweep stops
-    there and mu covers only the instants before it."""
+    there and mu covers only the instants before it.
+
+    The graphs come from :meth:`GraphSweep.graphs`, which evaluates only
+    the pairs that can have changed neighbor relation.  This is the paper's
+    ring-set argument with the drift measured instead of budgeted: between
+    an anchor instant and t, a pair's distance moves by at most 2 rho_t,
+    rho_t the largest distance of an agent's displacement since the anchor
+    from the centre of the displacements' bounding box.  So only the pairs
+    whose anchor distance is within 2 rho_t of the radius, plus the rounding
+    allowance ``graphs._BAND_ROUNDING`` (2^-47 of rho_t, of the largest
+    displacement coordinate and of r) and ``graphs._BAND_UNDERFLOW``
+    (2^-530), are evaluated at t.  Where that band would hold more than
+    ``graphs._BAND_SHARE`` of the pairs, the sweep falls back to a full
+    chunk of distances, whose last instant becomes the new anchor.  The
+    graphs are exact, so the shares are those that every distance gives."""
     sweep = GraphSweep(traj.params.r_n, traj.params.self_inclusive)
     baseline = graph = None
     mu, k = 0.0, 0
-    for run_graph, distances in sweep.runs(traj.positions):
+    for run_graph, n in sweep.graphs(traj.positions):
         if baseline is None:
-            baseline = _baseline(traj.state_at(0), run_graph, distances[0])
+            baseline = _baseline(traj.state_at(0), run_graph, distances=None)
         if run_graph is not graph:
             graph = run_graph
             drift, empty = _leader_terms(graph, baseline)
             if empty:
                 return baseline.alphas, mu, k
             mu = max(mu, drift)
-        k += len(distances)
+        k += n
     return baseline.alphas, mu, None
 
 
@@ -297,6 +313,15 @@ def geometric_envelope_audit(traj: Trajectory) -> EnvelopeAuditReport:
     audit is skipped.  Leaderless runs: the speed dissimilarity is compared
     against the (1 - r^2/288)^k envelope and reported, never failed, since
     that rate rests on an almost-sure spectral bound.
+
+    The leader shares need each instant's graph but no distances, so the
+    audit takes them from the pairs near the radius (see
+    :func:`_leader_shares`): a pair whose distance at the last anchor
+    instant is farther from r than twice the swarm's measured drift since,
+    plus a rounding allowance, cannot have changed neighbor relation, and a
+    band too wide for that to save work falls back to every pair.  On the
+    criterion-8 config (m = 130, 1000 steps) full distance vectors are
+    computed at a few instants instead of all 1001.
     """
     return _envelope_audit(traj, lambda: _leader_shares(traj))
 

@@ -65,6 +65,32 @@ def test_campaign_with_negative_seeds_exits_2(tmp_path, config_path, capsys, spe
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec", ["5..3", "0", "-1"])
+def test_campaign_with_a_seed_spec_that_names_no_seeds_exits_2(tmp_path, config_path, capsys,
+                                                               spec):
+    out = tmp_path / "camp"
+    assert main(["campaign", "--config", str(config_path), f"--seeds={spec}",
+                 "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: seed spec {spec!r} names no seeds\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+    (["scenario", "fig3", "--seed", "-2"], "seed must be a non-negative integer, got -2"),
+    (["scenario", "fig3", "--steps", "0"], "steps must be >= 1"),
+])
+def test_command_line_override_is_checked_as_a_config_field(tmp_path, config_path, capsys,
+                                                            argv, message):
+    if argv[0] == "run":
+        argv = [*argv, "--config", str(config_path)]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_campaign_with_a_run_that_raised_exits_3(tmp_path, config_path, capsys, monkeypatch):
     run = harness.run
 

@@ -424,3 +424,120 @@ def test_sweep_adjacency_equals_squareform_at_every_agent_count(self_inclusive):
         assert np.array_equal(graph.adjacency, graph.adjacency.T)
         assert np.array_equal(graph.adjacency, build_graph(positions, 0.15, self_inclusive).adjacency)
         assert np.array_equal(graph.degrees, want.sum(axis=1))
+
+
+# --- GraphSweep.graphs: the graphs from the pairs near the radius -----------
+
+def _instant_graphs(runs):
+    """The graph of each instant of the (graph, distances) or (graph, n) runs."""
+    return [graph for graph, run in runs
+            for _ in range(run if isinstance(run, int) else len(run))]
+
+
+def _assert_graphs_match_runs(positions, radius, self_inclusive=True):
+    """GraphSweep.graphs gives build_graph's graph at every instant, and new
+    graph objects at the same instants as GraphSweep.runs."""
+    want = _instant_graphs(GraphSweep(radius, self_inclusive).runs(positions))
+    sweep = GraphSweep(radius, self_inclusive)
+    got = _instant_graphs(sweep.graphs(positions))
+    assert len(got) == len(want) == len(positions)
+    for x, graph in zip(positions, got):
+        built = build_graph(x, radius, self_inclusive)
+        assert np.array_equal(graph.adjacency, built.adjacency)
+        assert np.array_equal(graph.degrees, built.degrees)
+        assert (graph.radius, graph.self_inclusive) == (built.radius, built.self_inclusive)
+    assert ([a is b for a, b in zip(got[1:], got[:-1])]
+            == [a is b for a, b in zip(want[1:], want[:-1])])
+    assert sweep.graph is got[-1]
+
+
+@st.composite
+def _random_walks(draw):
+    """(n, m, 2) positions of a random walk, a radius and a chunk size.
+
+    Steps of 1e-3 r to 1e2 r take the band path, its fallback to a full chunk
+    and the re-anchoring; coordinates of one magnitude from 1e-300 to 1e300,
+    sometimes with a common drift far larger than the swarm; some agents on
+    top of others; and a radius at one pair's distance at one instant or one
+    ulp to either side of it."""
+    m = draw(st.sampled_from([1, 2, 23, 63, 64, 130]))
+    n = draw(st.integers(1, 40))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    step = 0.3 * 10.0 ** draw(st.floats(-3, 2))
+    walk = rng.uniform(-1.0, 1.0, (m, 2)) + np.cumsum(rng.normal(scale=step, size=(n, m, 2)),
+                                                      axis=0)
+    if draw(st.booleans()):
+        walk += np.arange(n)[:, None, None] * draw(st.sampled_from([1e3, 1e8]))
+    positions = walk * scale
+    for k, i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1),
+                                           st.integers(0, m - 1)), max_size=4)):
+        positions[k, i] = positions[k, j]
+    distance = pairwise_distances(positions[draw(st.integers(0, n - 1))])[0, -1]
+    radius = float(distance) if 0 < distance < np.inf else 0.3 * scale
+    radius = draw(st.sampled_from([radius, np.nextafter(radius, 0), np.nextafter(radius, np.inf)]))
+    return positions, radius, draw(st.sampled_from([1, 2, 3, None]))
+
+
+@given(_random_walks(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_sweep_graphs_match_build_graph_and_runs(walk, self_inclusive):
+    positions, radius, instants = walk
+    m = positions.shape[1]
+    with pytest.MonkeyPatch.context() as mp:
+        if instants is not None:
+            mp.setattr(graphs, "_CHUNK_BYTES", instants * 8 * max(m * (m - 1) // 2, 1))
+        _assert_graphs_match_runs(positions, radius, self_inclusive)
+
+
+@given(_random_walks(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_sweep_graphs_raise_for_a_position_that_is_not_finite(walk, data):
+    positions, radius, _ = walk
+    n, m, _ = positions.shape
+    k, i = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, m - 1))
+    positions[k, i, data.draw(st.integers(0, 1))] = data.draw(
+        st.sampled_from([np.nan, np.inf, -np.inf]))
+    for sweep in (GraphSweep(radius).runs, GraphSweep(radius).graphs):
+        with pytest.raises(ValueError, match="^positions must be finite$"):
+            list(sweep(positions))
+
+
+def _crossing(instants: int = 12) -> np.ndarray:
+    """Agent 1 walks towards agent 0 by 0.1 per instant, from 1.25 away, and
+    crosses the radius 1 at instant 3; eight agents stand far from every other."""
+    positions = np.zeros((instants, 10, 2))
+    positions[:, 1, 0] = 1.25 - 0.1 * np.arange(instants)
+    positions[:, 2:, 0] = 10.0 * np.arange(2, 10)
+    return positions
+
+
+def test_sweep_graphs_take_a_crossing_pair_from_its_band(monkeypatch):
+    # one instant per full chunk, so instant 0 is the anchor and the band path
+    # takes the rest: the crossing pair enters the band, 2 rho_t = 0.1 t, at t = 3
+    monkeypatch.setattr(graphs, "_CHUNK_BYTES", 8 * 45)
+    chunks, rows = graphs._distance_chunks, []
+
+    def counting(positions):
+        for chunk in chunks(positions):
+            rows.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(graphs, "_distance_chunks", counting)
+    positions = _crossing()
+    _assert_graphs_match_runs(positions, 1.0)
+    assert rows[-1:] == [1] and sum(rows) == 1 + len(positions)  # runs' own rows, and one
+    # the mutation: half the drift bound leaves the pair out of the band at t = 3
+    spread = graphs._spread
+    monkeypatch.setattr(graphs, "_spread", lambda d: (spread(d)[0] / 2, spread(d)[1]))
+    got = _instant_graphs(GraphSweep(1.0).graphs(positions))
+    assert not got[3].adjacency[0, 1] and build_graph(positions[3], 1.0).adjacency[0, 1]
+
+
+def test_sweep_graphs_without_pairs_or_instants():
+    positions = np.random.default_rng(5).random((7, 1, 2))
+    ((graph, n),) = GraphSweep(0.3).graphs(positions)
+    assert n == 7 and graph.adjacency.tolist() == [[True]]
+    assert list(GraphSweep(0.3).graphs(positions[:0])) == []
+    with pytest.raises(ValueError, match=r"shape \(n, m, 2\)"):
+        next(GraphSweep(0.3).graphs(np.zeros((2, 3, 3))))

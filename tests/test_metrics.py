@@ -818,13 +818,35 @@ def test_run_pass_takes_leader_fractions_once_per_graph(monkeypatch):
     assert len(seen) == len({id(g) for g in seen}) == result.meta["graph_changes"] + 1 == 11
 
 
-def test_envelope_audit_takes_leader_fractions_once_per_graph(monkeypatch):
+@pytest.fixture(scope="module")
+def criterion8_seed0():
     # seed 1 skips before any graph is built; seed 0 passes, so the sweep sees every graph
-    result = run(_criterion8_config(0))
+    return run(_criterion8_config(0))
+
+
+def test_envelope_audit_takes_leader_fractions_once_per_graph(monkeypatch, criterion8_seed0):
+    result = criterion8_seed0
     seen = _count_leader_fractions(monkeypatch)
     report = geometric_envelope_audit(result.trajectory)
     assert report.to_dict() == result.envelope.to_dict() and report.verdict == PASS
     assert len(seen) == len({id(g) for g in seen}) == result.meta["graph_changes"] + 1
+
+
+def test_envelope_audit_computes_few_full_distance_vectors(monkeypatch, criterion8_seed0):
+    # the leader shares take each instant's graph from the pairs near the
+    # radius: full condensed distances only at the anchors' chunks, not at
+    # all 1001 instants, as a silent fallback to every pair would
+    chunks, rows = graphs._distance_chunks, []
+
+    def counting(positions):
+        for chunk in chunks(positions):
+            rows.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(graphs, "_distance_chunks", counting)
+    report = geometric_envelope_audit(criterion8_seed0.trajectory)
+    assert report.to_dict() == criterion8_seed0.envelope.to_dict() and report.verdict == PASS
+    assert 0 < sum(rows) <= 10
 
 
 @pytest.mark.parametrize("seed", [2, 3])
