@@ -194,20 +194,23 @@ def _pair_distances(positions: np.ndarray, first: np.ndarray, second: np.ndarray
 #   w^_i - c, understates max_i |w^_i - c| by at most 3u rho + 2^-537.
 # - So |d^_t - d^_a| <= 2 rho^ (1 + 6.1u) + 2.9u M + 6.1u (r + g) + 2^-534,
 #   with g = |d^_a - r|.  A pair is kept out of the band only when the
-#   computed margin g^ = fl(g) exceeds the computed band; the 6.1u g term
-#   and the rounding of g^ and of the band itself (four operations on
-#   non-negative terms) are covered when the band is taken as
+#   computed margin g^ = fl(g) exceeds the computed band.  That band is
 #       2 rho^ + _BAND_ROUNDING (rho^ + M + r) + _BAND_UNDERFLOW,
-#   _BAND_ROUNDING = 64u = 2^-47 against the 27u, 3u and 6.2u needed and
-#   _BAND_UNDERFLOW = 2^-530 against the 2^-533.9 needed.
+#   rounded in four additions of non-negative terms.  With the rounding of
+#   g^ and the 6.1u g term, the band must exceed the bound by a factor of
+#   1 + 11.3u, which asks for 35u rho^, 3u M, 6.2u r and 2^-534: it has
+#   _BAND_ROUNDING = 64u = 2^-47 of each and _BAND_UNDERFLOW = 2^-530.
 # A band or rho that is not finite (an overflowing displacement or offset)
 # holds every pair, which sends the sweep back to a full evaluation, as does
 # an anchor with a distance that is not finite.
 _BAND_ROUNDING = 2.0 ** -47
 _BAND_UNDERFLOW = 2.0 ** -530
 
-# The share of the pairs above which a band costs about as much as all the
-# pairs: the sweep then computes a full chunk of distances and anchors anew.
+# A band that would hold more than this share of the pairs sends the sweep
+# back to a full chunk of distances, whose last instant is a nearer anchor
+# with a narrower band.  The share is not tuned: on the criterion-8 pool runs
+# the band settles near 2% of the pairs, and on fig3 it passes 1/8 within
+# about 16 instants of an anchor and most of the pairs within a chunk.
 _BAND_SHARE = 0.125
 
 
