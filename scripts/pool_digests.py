@@ -18,7 +18,9 @@ Run it on two checkouts and diff the output:
     python3 scripts/pool_digests.py > after.json
 
 The library is imported from this checkout's ``src/``, with BLAS on one
-thread.
+thread.  Of the output, only the digest of ``metrics.csv``, whose ``p_dev``
+column comes from LAPACK's SVD, depends on the BLAS build and the kernel it
+picks for the CPU (for OpenBLAS, ``OPENBLAS_CORETYPE``).
 """
 
 import hashlib

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .conditions import check_corollary1, check_theorem1, check_theorem2, check_theorem3
@@ -74,6 +75,8 @@ def _cmd_campaign(args) -> int:
     if not seeds:
         print(f"config error: seed spec {args.seeds!r} names no seeds", file=sys.stderr)
         return EXIT_CONFIG
+    for seed in seeds:
+        _validated(replace(config, seed=seed))
     out = _out_dir(args.out, "runs/campaign")
     summary = campaign(config, seeds, out_dir=out)
     print(f"campaign: {len(summary.per_run)} runs, sync fraction {summary.sync_fraction:.3f}, "

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import ModelParams, SwarmState
-from .graphs import build_graph, leader_fractions
+from .graphs import build_graph, leader_fractions, neighbor_sums
 
 DEFAULT_SEPARATION = 10.0
 
@@ -179,8 +179,8 @@ def initial_diagnostics(state: SwarmState, params: ModelParams, a_n: float | Non
         math.sqrt(n * params.r_n ** 2 * math.log(n))
 
     graph = build_graph(state.positions, params.r_n, params.self_inclusive)
-    theta_sums = graph.adjacency @ state.headings
-    v_sums = graph.adjacency @ (state.speeds - params.v_n / 2.0)
+    theta_sums = neighbor_sums(graph, state.headings)
+    v_sums = neighbor_sums(graph, state.speeds - params.v_n / 2.0)
     theta_sum_max = float(np.abs(theta_sums).max())
     v_sum_max = float(np.abs(v_sums).max())
 
@@ -234,8 +234,8 @@ def leader_degree_estimates(state: SwarmState, params: ModelParams,
     if state.sample_index != 0:
         raise ValueError("leader degree estimates require the state at k = 0")
     graph = build_graph(state.positions, params.r_n, params.self_inclusive)
-    mask = state.leader_mask.astype(float)
-    d2 = graph.adjacency @ mask  # leader neighbors (self counted when a leader)
+    # leader neighbors (self counted when a leader), exact integers as floats
+    d2 = neighbor_sums(graph, state.leader_mask.astype(float))
     d1 = graph.degrees - d2
 
     alpha, _ = leader_fractions(graph, state.leader_mask)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import GraphSweep, ProximityGraph
+from .graphs import GraphSweep, ProximityGraph, neighbor_sums
 from .graphs import build_graph, connectivity  # noqa: F401  (wrapped by perfbench/tracing.py)
 
 STRICT_ETA_MAX = 1.0 / 512.0
@@ -188,11 +188,13 @@ def sample_initial(params: ModelParams, seed: int) -> SwarmState:
 
 def _neighbor_average(values: np.ndarray, graph: ProximityGraph,
                       out: np.ndarray | None = None) -> np.ndarray:
-    """The neighbor mean of ``values`` per agent, written to ``out`` when given."""
-    out = np.matmul(graph.float_adjacency, values, out=out)
+    """The neighbor mean of ``values`` per agent, written to ``out`` when
+    given: the sum of :func:`~uniswarm.graphs.neighbor_sums`, in its fixed
+    order, divided by the agent's degree.  An agent without neighbors, which
+    only a graph without self loops has, holds its value."""
+    out = neighbor_sums(graph, values, out)
     out /= graph.divisors
     if not graph.self_inclusive:
-        # only without self loops can an agent be isolated; it holds its state
         np.copyto(out, values, where=graph.degrees == 0)
     return out
 

@@ -45,10 +45,10 @@ class MetricsBaseline:
     # condensed pairwise distances at k = 0 (see GraphSweep.runs); None in the
     # baseline of the re-audit's leader shares, which takes only graph terms
     distances: np.ndarray | None
-    alphas: np.ndarray  # alpha_i(0)
+    alphas: np.ndarray  # alpha_i(0); 0 without leaders
     # some agent's k = 0 neighborhood, the agent itself excluded, is empty;
-    # computed for leader runs only
-    empty_neighborhood: bool = False
+    # read in leader runs only
+    empty_neighborhood: bool
 
 
 def metrics_baseline(initial: SwarmState, params: ModelParams) -> MetricsBaseline:
@@ -61,10 +61,6 @@ def metrics_baseline(initial: SwarmState, params: ModelParams) -> MetricsBaselin
 def _baseline(initial: SwarmState, graph: ProximityGraph,
               distances: np.ndarray | None) -> MetricsBaseline:
     """The baseline of ``initial`` from its graph and condensed distances."""
-    # without leaders every alpha_i is 0; the k = 0 graph then keeps no float adjacency
-    if not initial.leader_mask.any():
-        return MetricsBaseline(state=initial, graph=graph, distances=distances,
-                               alphas=np.zeros(graph.node_count))
     alphas, totals = leader_fractions(graph, initial.leader_mask)
     return MetricsBaseline(state=initial, graph=graph, distances=distances, alphas=alphas,
                            empty_neighborhood=bool((totals == 0).any()))

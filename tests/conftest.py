@@ -26,6 +26,20 @@ def matrix_deviation(p_now: np.ndarray, p_initial: np.ndarray) -> float:
     return float(np.linalg.norm(p_now - p_initial, 2))
 
 
+def held_average_oracle(values: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
+    """Each agent's neighbor mean, one row of the bool ``adjacency`` at a
+    time: the row's neighbors in index order, added by a reduceat over that
+    row alone, as graphs.neighbor_sums adds them (a BLAS product adds them in
+    an order of its own, which changes the last bits).  An agent without
+    neighbors holds its value."""
+    out = np.array(values, dtype=float)
+    for i, row in enumerate(adjacency):
+        neighbors = np.flatnonzero(row)
+        if len(neighbors):
+            out[i] = np.add.reduceat(values[neighbors], [0])[0] / len(neighbors)
+    return out
+
+
 def envelope_integral_oracle(values_k: np.ndarray, values_k1: np.ndarray, tau: float,
                              substeps: int) -> np.ndarray:
     """metrics._envelope_integral as one (B, S+1, m) array: the oracle of the

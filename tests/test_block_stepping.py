@@ -8,11 +8,7 @@ from uniswarm import (LEADER_CONSTANT, LEADER_DYNAMIC, LEADERLESS, ConvexityErro
                       pairwise_distances, run_epoch, sample_initial)
 from uniswarm import dynamics, graphs
 
-
-def _oracle_average(values, graph):
-    degrees = graph.degrees
-    avg = (graph.adjacency @ values) / np.maximum(degrees, 1)
-    return np.where(degrees > 0, avg, values)
+from conftest import held_average_oracle
 
 
 def _oracle_run_epoch(state, params, steps, controller=LEADERLESS, schedule=None,
@@ -43,8 +39,8 @@ def _oracle_run_epoch(state, params, steps, controller=LEADERLESS, schedule=None
             observer(graph, pairwise_distances(current.positions)[pairs][None])
         if k == steps:
             break
-        new_h = _oracle_average(current.headings, graph)
-        new_v = _oracle_average(current.speeds, graph)
+        new_h = held_average_oracle(current.headings, graph.adjacency)
+        new_v = held_average_oracle(current.speeds, graph.adjacency)
         if controller == LEADERLESS:
             for label, old, new in (("heading", current.headings, new_h),
                                     ("speed", current.speeds, new_v)):

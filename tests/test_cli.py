@@ -61,7 +61,8 @@ def test_campaign_with_negative_seeds_exits_2(tmp_path, config_path, capsys, spe
     assert main(["campaign", "--config", str(config_path), f"--seeds={spec}",
                  "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("error: seed must be a non-negative integer") and err.count("\n") == 1
+    assert err.startswith("config error: seed must be a non-negative integer")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

@@ -12,7 +12,7 @@ from uniswarm import (LEADER_DYNAMIC, LEADERLESS, ModelParams, advance_positions
                       sample_initial, trajectory_controls)
 from uniswarm.dynamics import SwarmState, integrate_position_oracle
 
-from conftest import make_state
+from conftest import held_average_oracle, make_state
 
 
 def test_model_params_validation():
@@ -340,12 +340,8 @@ def test_leader_step_holds_isolated_agents_without_self_loops(leaders):
     state = SwarmState(positions=positions, headings=rng.uniform(-3, 3, 5),
                        speeds=rng.uniform(0, 1, 5), leader_mask=mask)
     nxt = leader_discrete_step(state, g, 0.7, 0.2, vartheta=0.4)
-
-    def held_average(values):
-        average = (g.adjacency @ values) / np.maximum(g.degrees, 1)
-        return np.where(g.degrees > 0, average, values)
-
-    want_h, want_v = held_average(state.headings), held_average(state.speeds)
+    want_h = held_average_oracle(state.headings, g.adjacency)
+    want_v = held_average_oracle(state.speeds, g.adjacency)
     want_h[mask] = 0.4 * 0.7 + (1.0 - 0.4) * want_h[mask]
     want_v[mask] = 0.4 * 0.2 + (1.0 - 0.4) * want_v[mask]
     assert np.array_equal(nxt.headings, want_h) and np.array_equal(nxt.speeds, want_v)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from uniswarm import (GraphSweep, SpectralError, build_graph, connectivity, graphs, ring_sets,
                       spectral_summary)
-from uniswarm.graphs import averaging_matrix, normalized_laplacian, pairwise_distances
+from uniswarm.graphs import (averaging_matrix, leader_fractions, neighbor_sums, normalized_laplacian,
+                             pairwise_distances)
 
 from conftest import matrix_deviation
 
@@ -541,3 +542,89 @@ def test_sweep_graphs_without_pairs_or_instants():
     assert list(GraphSweep(0.3).graphs(positions[:0])) == []
     with pytest.raises(ValueError, match=r"shape \(n, m, 2\)"):
         next(GraphSweep(0.3).graphs(np.zeros((2, 3, 3))))
+
+
+# --- the neighbor-sum kernel ----------------------------------------------------
+
+def _graph_with_isolated_nodes(m: int, self_inclusive: bool, seed: int):
+    """A random graph of m agents in which the first, a middle and the last
+    agent sit far from the others and from each other."""
+    rng = np.random.default_rng(seed)
+    positions = rng.random((m, 2))
+    for i in sorted({0, m // 2, m - 1}):
+        positions[i] = (10.0 + 3.0 * i, -5.0)
+    radius = min(0.5, 3.0 / math.sqrt(m))
+    return build_graph(positions, radius, self_inclusive=self_inclusive)
+
+
+def _row_sums_at_offset(values: np.ndarray, neighbors: np.ndarray, offset: int) -> float:
+    """A reduceat over one row's neighbor values alone, placed ``offset``
+    floats into a fresh buffer."""
+    buffer = np.empty(len(neighbors) + offset)
+    buffer[offset:] = values[neighbors]
+    return np.add.reduceat(buffer[offset:], [0])[0]
+
+
+@pytest.mark.parametrize("m", [1, 2, 23, 130, 500])
+@pytest.mark.parametrize("self_inclusive", [True, False])
+def test_neighbor_sums_take_each_row_in_index_order(m, self_inclusive):
+    graph = _graph_with_isolated_nodes(m, self_inclusive, seed=m)
+    rng = np.random.default_rng(m + 1)
+    for values in (rng.random(m), rng.standard_normal(m) * 10.0 ** rng.integers(-8, 8, m)):
+        for offset in (0, 1, 3):
+            placed = np.empty(m + offset)[offset:]
+            placed[:] = values
+            sums = neighbor_sums(graph, placed)
+            for i, row in enumerate(graph.adjacency):
+                neighbors = np.flatnonzero(row)
+                if not len(neighbors):
+                    assert sums[i] == 0.0
+                    continue
+                # bit-equal to the row summed alone, at any memory offset
+                assert sums[i] == _row_sums_at_offset(values, neighbors, offset)
+                # and within the rounding of any summation order of the row
+                terms = values[neighbors].tolist()
+                bound = len(terms) * np.finfo(float).eps * math.fsum(map(abs, terms))
+                assert abs(sums[i] - math.fsum(terms)) <= bound
+    if not self_inclusive:
+        assert (graph.degrees == 0).sum() == min(m, 3)
+
+
+@pytest.mark.parametrize("self_inclusive", [True, False])
+def test_neighbor_sums_write_out_and_zero_the_empty_rows(self_inclusive):
+    graph = _graph_with_isolated_nodes(23, self_inclusive, seed=4)
+    values = np.random.default_rng(5).random(23)
+    out = np.full(23, np.nan)
+    assert neighbor_sums(graph, values, out=out) is out
+    assert np.array_equal(out, neighbor_sums(graph, values))
+    empty = graph.degrees == 0
+    assert empty.any() == (not self_inclusive)
+    assert (out[empty] == 0.0).all()
+
+
+def test_neighbor_sums_without_any_edge():
+    graph = build_graph(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), 0.5, self_inclusive=False)
+    assert np.array_equal(neighbor_sums(graph, np.array([1.0, 2.0, 3.0])), np.zeros(3))
+
+
+def test_neighbor_lists_are_each_row_in_index_order():
+    graph = _graph_with_isolated_nodes(23, False, seed=6)
+    columns, starts = graph.neighbor_lists
+    assert graph.neighbor_lists is graph.neighbor_lists  # built once per graph
+    ends = np.append(starts[1:], len(columns))
+    for row, start, end in zip(graph.adjacency, starts, ends):
+        assert columns[start:end].tolist() == np.flatnonzero(row).tolist()
+
+
+@pytest.mark.parametrize("m", [2, 23, 130, 500])
+@pytest.mark.parametrize("self_inclusive", [True, False])
+def test_leader_counts_are_exact_integers(m, self_inclusive):
+    graph = _graph_with_isolated_nodes(m, self_inclusive, seed=m + 2)
+    mask = np.random.default_rng(m + 3).random(m) < 0.3
+    counts = (graph.adjacency & mask).sum(axis=1)
+    assert np.array_equal(neighbor_sums(graph, mask.astype(float)), counts)
+    fractions, totals = leader_fractions(graph, mask)
+    own = np.diagonal(graph.adjacency) & mask
+    assert np.array_equal(totals, graph.degrees - np.diagonal(graph.adjacency))
+    expected = np.where(totals > 0, (counts - own) / np.maximum(totals, 1), 0.0)
+    assert np.array_equal(fractions, expected)
