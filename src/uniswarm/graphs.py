@@ -133,43 +133,62 @@ _CHUNK_BYTES = 256 * 1024
 _PDIST_MIN_AGENTS = 64
 
 
-def _distance_chunks(positions: np.ndarray):
+def _chunk_instants(m: int) -> int:
+    """Instants per chunk of :func:`_distance_chunks` at ``m`` agents."""
+    return max(1, _CHUNK_BYTES // (8 * max(m * (m - 1) // 2, 1)))
+
+
+def _distance_buffers(positions: np.ndarray) -> np.ndarray:
+    """Two chunks' room for the distances of the (N, m, 2) ``positions``,
+    for the ``buffers`` of :func:`_distance_chunks`."""
+    n, m = positions.shape[:2]
+    return np.empty((2, min(n, _chunk_instants(m)), m * (m - 1) // 2))
+
+
+def _distance_chunks(positions: np.ndarray, buffers: np.ndarray | None = None):
     """Yields the pairwise distances of the (N, m, 2) ``positions`` of
     successive instants in (n, P) chunks, each a new array that the caller
     may keep.  Row j of a chunk is an instant's condensed distance vector:
     the P = m(m-1)/2 distances of the pairs i < j in the order of
     ``scipy.spatial.distance.pdist``, equal to the entries of
     :func:`pairwise_distances` above the diagonal.  The positions of a chunk
-    are checked to be finite before its distances are computed."""
+    are checked to be finite before its distances are computed.
+
+    With ``buffers`` from :func:`_distance_buffers`, the chunks are written
+    into its two halves in turn instead, so that a chunk is overwritten two
+    chunks later; this lets a worker thread compute distances in memory
+    that its caller allocated."""
     m = positions.shape[1]
     pairs = m * (m - 1) // 2
-    size = max(1, _CHUNK_BYTES // (8 * max(pairs, 1)))
+    size = _chunk_instants(m)
     if m >= _PDIST_MIN_AGENTS:
         from scipy.spatial.distance import pdist
     else:
         first, second = np.triu_indices(m, 1)
-    for start in range(0, len(positions), size):
+    for i, start in enumerate(range(0, len(positions), size)):
         chunk = positions[start:start + size]
         _require_finite(chunk)
+        out = None if buffers is None else buffers[i % 2, :len(chunk)]
         if m >= _PDIST_MIN_AGENTS:
-            distances = np.empty((len(chunk), pairs))
-            for x, out in zip(chunk, distances):
-                pdist(x, out=out)
+            distances = np.empty((len(chunk), pairs)) if out is None else out
+            for x, row in zip(chunk, distances):
+                pdist(x, out=row)
         else:
-            distances = _pair_distances(chunk, first, second)
+            distances = _pair_distances(chunk, first, second, out=out)
         yield distances
 
 
-def _pair_distances(positions: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+def _pair_distances(positions: np.ndarray, first: np.ndarray, second: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """The (n, C) distances of the agent pairs (first[c], second[c]) at the
-    (n, m, 2) ``positions``: sqrt((x_i - x_j)^2 + (y_i - y_j)^2), the
-    arithmetic of pdist and cdist, which overflows to inf without a warning
-    as they do."""
+    (n, m, 2) ``positions``, written to ``out`` when given:
+    sqrt((x_i - x_j)^2 + (y_i - y_j)^2), the arithmetic of pdist and cdist,
+    which overflows to inf without a warning as they do."""
     with np.errstate(over="ignore"):
         step = np.take(positions, first, axis=1)
         step -= np.take(positions, second, axis=1)
         step *= step
-        distances = np.add(step[..., 0], step[..., 1])
+        distances = np.add(step[..., 0], step[..., 1], out=out)
     return np.sqrt(distances, out=distances)
 
 

@@ -7,7 +7,9 @@ seed and aggregate.  All JSON outputs carry a ``schema_version`` field.
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -332,8 +334,8 @@ def write_run_outputs(result: RunResult, out_dir) -> dict:
 
     ``trajectory.csv`` is the exact text export of the trajectory.
     ``trajectory.npy`` holds the same values as one C-order float64 array of
-    shape (K+1, m, 4), columns x, y, theta and v, written by ``np.save``,
-    whose bytes are deterministic.  It caches the CSV's parse for
+    shape (K+1, m, 4), columns x, y, theta and v, in the bytes that
+    ``np.save`` writes, which are deterministic.  It caches the CSV's parse for
     :func:`load_trajectory`.  The ``run_meta.json`` written is ``result.meta``
     plus ``trajectory_sha256``, the sha256 of both files, which
     :func:`load_trajectory` checks before it reads the cache.
@@ -353,8 +355,7 @@ def write_run_outputs(result: RunResult, out_dir) -> dict:
     values[..., :2] = traj.positions
     values[..., 2] = traj.headings
     values[..., 3] = traj.speeds
-    np.save(paths["trajectory_npy"], values)
-    digests["trajectory.npy"] = _file_sha256(paths["trajectory_npy"])
+    digests["trajectory.npy"] = _write_npy(values, paths["trajectory_npy"])
     write_metrics_csv(result.metrics, paths["metrics"])
     audits = {"schema_version": SCHEMA_VERSION}
     if result.recursion is not None:
@@ -381,6 +382,21 @@ def _file_sha256(path) -> str:
     with open(path, "rb") as fh:
         while piece := fh.read(1 << 20):
             digest.update(piece)
+    return digest.hexdigest()
+
+
+def _write_npy(values: np.ndarray, path) -> str:
+    """Writes the C-contiguous ``values`` as ``np.save`` does and returns the
+    sha256 of the file's bytes, hashed as they are written."""
+    import hashlib
+
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(values))
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for data in (header.getvalue(), values.data):
+            digest.update(data)
+            fh.write(data)
     return digest.hexdigest()
 
 
@@ -464,20 +480,30 @@ def load_trajectory(run_dir) -> Trajectory:
 
 def _cached_values(run_dir: Path, meta: dict, params: ModelParams) -> np.ndarray | None:
     """The (K+1, m, 4) array of ``trajectory.npy`` when both trajectory files
-    match the digests in ``meta``, else None."""
+    match the digests in ``meta``, else None.  ``trajectory.npy`` is read
+    once, and the array is a read-only view of the very bytes hashed."""
+    import hashlib
+
     digests = meta.get("trajectory_sha256")
     npy = run_dir / "trajectory.npy"
     if not isinstance(digests, dict) or not npy.is_file():
         return None
-    if any(digests.get(name) != _file_sha256(run_dir / name)
-           for name in ("trajectory.csv", "trajectory.npy")):
+    if digests.get("trajectory.csv") != _file_sha256(run_dir / "trajectory.csv"):
         return None
-    values = np.load(npy, allow_pickle=False)
+    data = npy.read_bytes()
+    if digests.get("trajectory.npy") != hashlib.sha256(data).hexdigest():
+        return None
+    stream = io.BytesIO(data)
+    version = np.lib.format.read_magic(stream)
+    read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                   else np.lib.format.read_array_header_2_0)
+    found, fortran_order, dtype = read_header(stream)
     shape = (meta["steps"] + 1, params.total_count, 4)
-    if values.dtype != np.float64 or values.shape != shape:
-        raise ValueError(f"{npy}: {values.dtype} array of shape {values.shape}, "
+    if dtype != np.float64 or found != shape:
+        raise ValueError(f"{npy}: {dtype} array of shape {found}, "
                          f"expected float64 of shape {shape}")
-    return values
+    values = np.frombuffer(data, dtype, count=math.prod(shape), offset=stream.tell())
+    return values.reshape(shape, order="F" if fortran_order else "C")
 
 
 def _parse_trajectory_csv(run_dir: Path, meta: dict) -> tuple[np.ndarray, ...]:

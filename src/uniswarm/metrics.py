@@ -8,13 +8,14 @@ envelopes are reported (verdict REPORT) but never failed.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import ModelParams, SwarmState, Trajectory
-from .graphs import (GraphSweep, ProximityGraph, _distance_chunks, averaging_rows,
-                     connectivity, leader_fractions)
+from .graphs import (_CHUNK_BYTES, GraphSweep, ProximityGraph, _distance_buffers,
+                     _distance_chunks, averaging_rows, connectivity, leader_fractions)
 # layer boundaries that perfbench/tracing.py wraps
 from .graphs import averaging_matrix, build_graph, pairwise_distances  # noqa: F401
 
@@ -152,13 +153,57 @@ def _leader_terms(graph: ProximityGraph, baseline: MetricsBaseline) -> tuple[flo
     return float(np.abs(alphas - baseline.alphas).max()), bool((totals == 0).any())
 
 
+# The steps of _distance_changes are split across the usable CPUs from this
+# many pairs on, where one instant's condensed distances alone exceed the
+# chunk budget (m >= 257).  Below it, the part of each pdist call that holds
+# the GIL outweighs the arithmetic that threads can share.
+_SPLIT_MIN_PAIRS = _CHUNK_BYTES // 8 + 1
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _distance_changes(positions: np.ndarray) -> np.ndarray:
-    """max over pairs of |Delta_ij(t_{k+1}) - Delta_ij(t_k)| for each step k."""
+    """max over pairs of |Delta_ij(t_{k+1}) - Delta_ij(t_k)| for each step k.
+
+    From ``_SPLIT_MIN_PAIRS`` pairs on, the N instants are cut into W
+    contiguous spans, W the usable CPUs, that share their boundary instants.
+    Each step depends only on its own two instants, so every span is
+    computed on its own, the first here and the others on threads of a pool
+    that lives for this call only (pdist releases the GIL), and the values
+    are those of one pass over all instants.  A position that is not finite
+    raises once every span has ended."""
+    n, m = positions.shape[:2]
+    spans = min(_usable_cpus(), n - 1) if m * (m - 1) // 2 >= _SPLIT_MIN_PAIRS else 1
+    if spans <= 1:
+        return np.array(_span_changes(positions))
+    from concurrent.futures import ThreadPoolExecutor
+
+    bounds = [s * (n - 1) // spans for s in range(spans + 1)]
+    parts = [positions[a:b + 1] for a, b in zip(bounds, bounds[1:])]
+    # allocated here: memory that a worker thread allocates stays in its own heap
+    buffers = [_distance_buffers(part) for part in parts]
+    with ThreadPoolExecutor(spans - 1) as pool:
+        futures = [pool.submit(_span_changes, *args) for args in zip(parts[1:], buffers[1:])]
+        changes = _span_changes(parts[0], buffers[0])
+        for future in futures:
+            changes += future.result()
+    return np.array(changes)
+
+
+def _span_changes(positions: np.ndarray, buffers: np.ndarray | None = None) -> list[float]:
+    """The values of :func:`_distance_changes` one chunk at a time, the
+    chunks in ``buffers`` when given (see :func:`graphs._distance_chunks`)."""
     changes, last = [], None
-    for distances in _distance_chunks(positions):
+    for distances in _distance_chunks(positions, buffers):
         changes += _distance_steps(distances, last)[0].tolist()
         last = distances
-    return np.array(changes)
+    return changes
 
 
 def _leader_shares(traj: Trajectory) -> tuple[np.ndarray, float, int | None]:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uniswarm import (GraphSweep, SpectralError, build_graph, connectivity, graphs, ring_sets,
@@ -397,6 +397,24 @@ def test_distance_chunks_and_sweep_match_the_dense_matrices(positions, instants,
         assert np.array_equal(graph.degrees, want.degrees)
 
 
+@pytest.mark.parametrize("m", [2, 23, 64, 130])
+@pytest.mark.parametrize("instants", [1, 3])
+def test_distance_chunks_take_turns_in_the_buffers(monkeypatch, m, instants):
+    positions = np.random.default_rng(m).uniform(-1.0, 1.0, (8, m, 2))
+    pairs = m * (m - 1) // 2
+    monkeypatch.setattr(graphs, "_CHUNK_BYTES", instants * 8 * pairs)
+    buffers = graphs._distance_buffers(positions)
+    assert buffers.shape == (2, instants, pairs)
+    assert graphs._distance_buffers(positions[:2]).shape == (2, min(instants, 2), pairs)
+    want = list(graphs._distance_chunks(positions))
+    got = graphs._distance_chunks(positions, buffers)
+    for i, chunk in enumerate(want):
+        distances = next(got)
+        assert np.shares_memory(distances, buffers[i % 2])
+        assert np.array_equal(distances, chunk)
+    assert next(got, None) is None
+
+
 def test_sweep_pair_at_exactly_the_radius_is_no_edge():
     positions = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
     sweep = GraphSweep(5.0)
@@ -470,7 +488,11 @@ def _random_walks(draw):
                                                       axis=0)
     if draw(st.booleans()):
         walk += np.arange(n)[:, None, None] * draw(st.sampled_from([1e3, 1e8]))
-    positions = walk * scale
+    with np.errstate(over="ignore"):
+        positions = walk * scale
+    # a walk far from the origin at 1e300 can overflow to inf, which the
+    # sweep rejects; that case has its own test below
+    assume(np.isfinite(positions).all())
     for k, i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1),
                                            st.integers(0, m - 1)), max_size=4)):
         positions[k, i] = positions[k, j]

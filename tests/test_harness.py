@@ -1,6 +1,9 @@
+import builtins
 import dataclasses
 import hashlib
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -517,6 +520,49 @@ def test_run_meta_records_both_trajectory_digests(tmp_path, monkeypatch):
     parsed = _spy_csv_parse(monkeypatch)
     load_trajectory(tmp_path)
     assert parsed == []
+
+
+def test_written_npy_is_np_save_bytes_hashed_as_written(tmp_path):
+    result = run(_leaderless_config(), out_dir=tmp_path)
+    traj, saved = result.trajectory, io.BytesIO()
+    np.save(saved, np.concatenate([traj.positions, traj.headings[..., None],
+                                   traj.speeds[..., None]], axis=2))
+    data = (tmp_path / "trajectory.npy").read_bytes()
+    assert data == saved.getvalue()
+    meta = json.loads((tmp_path / "run_meta.json").read_text())
+    assert meta["trajectory_sha256"]["trajectory.npy"] == hashlib.sha256(data).hexdigest()
+
+
+def test_cached_load_opens_the_npy_once(tmp_path, monkeypatch):
+    # the array is parsed from the bytes that were hashed, so the file that
+    # is read cannot differ from the one that matched the digest
+    result = run(_leaderless_config(), out_dir=tmp_path)
+    opened, open_file = [], builtins.open
+
+    def counting(file, *args, **kwargs):
+        opened.append(Path(file).name if isinstance(file, (str, Path)) else file)
+        return open_file(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting)
+    monkeypatch.setattr(io, "open", counting)
+    parsed = _spy_csv_parse(monkeypatch)
+    loaded = load_trajectory(tmp_path)
+    assert parsed == [] and opened.count("trajectory.npy") == 1
+    _assert_same_trajectory(loaded, result.trajectory)
+    assert all(value.flags.writeable for value in vars(loaded).values()
+               if isinstance(value, np.ndarray))
+
+
+def test_npy_with_a_flipped_data_byte_falls_back_to_the_csv(tmp_path, monkeypatch):
+    result = run(_leaderless_config(), out_dir=tmp_path)
+    path = tmp_path / "trajectory.npy"
+    data = bytearray(path.read_bytes())
+    data[-3] ^= 0x10  # a high mantissa byte of the last speed
+    path.write_bytes(bytes(data))
+    parsed = _spy_csv_parse(monkeypatch)
+    loaded = load_trajectory(tmp_path)
+    assert parsed == [tmp_path]
+    _assert_same_trajectory(loaded, result.trajectory)
 
 
 def test_edited_csv_is_loaded_though_the_npy_is_present(tmp_path, monkeypatch):

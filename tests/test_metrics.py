@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -328,6 +330,87 @@ def test_recursion_audit_substep_refinement_stable():
     traj = run_epoch(sample_initial(p, 4), p, 50)
     for substeps in (4, 16, 128):
         assert recursion_audit(traj, substep_count=substeps).passed
+
+
+# --- the recursion audit's instants split across CPUs ------------------------
+
+_SPAN_CHANGES = metrics._span_changes
+
+
+def _split_spans(monkeypatch, cpus, min_pairs=1):
+    """Splits the distance steps of every swarm of ``min_pairs`` pairs and
+    more (every one by default, not only those from m = 257 on) across
+    ``cpus`` usable CPUs, and returns the lengths of the spans of instants
+    that each call computes, in the order they start."""
+    monkeypatch.setattr(metrics, "_SPLIT_MIN_PAIRS", min_pairs)
+    monkeypatch.setattr(metrics, "_usable_cpus", lambda: cpus)
+    spans = []
+
+    def spy(positions, buffers=None):
+        spans.append(len(positions))
+        return _SPAN_CHANGES(positions, buffers)
+
+    monkeypatch.setattr(metrics, "_span_changes", spy)
+    return spans
+
+
+@pytest.mark.parametrize("m", [2, 23, 64, 130])
+@pytest.mark.parametrize("instants", [2, 3, 4, 5, 101])
+def test_recursion_audit_split_across_cpus_matches_the_oracle(monkeypatch, instants, m):
+    traj = _random_trajectory(instants + m, instants - 1, m=m)
+    verdicts, slacks, _, _ = _oracle_recursion_audit(traj)
+    threads = threading.active_count()
+    for cpus in (1, 2, 3):
+        spans = _split_spans(monkeypatch, cpus)
+        rep = recursion_audit(traj)
+        assert rep.verdicts == verdicts and np.array_equal(rep.slacks, slacks)
+        # W = min(cpus, steps) spans that share their boundary instants
+        w = min(cpus, instants - 1)
+        assert len(spans) == w and sum(spans) == instants + w - 1
+        assert threading.active_count() == threads
+
+
+def test_recursion_audit_splits_from_257_agents_on(monkeypatch):
+    assert 256 * 255 // 2 < metrics._SPLIT_MIN_PAIRS <= 257 * 256 // 2
+    assert metrics._usable_cpus() >= 1
+    traj = _random_trajectory(3, 5, m=257)
+    spans = _split_spans(monkeypatch, 2, min_pairs=metrics._SPLIT_MIN_PAIRS)
+    rep = recursion_audit(traj)
+    verdicts, slacks, _, _ = _oracle_recursion_audit(traj)
+    assert rep.verdicts == verdicts and np.array_equal(rep.slacks, slacks)
+    assert spans == [4, 3]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("m", [23, 130])
+def test_recursion_audit_split_raises_for_a_position_that_is_not_finite(monkeypatch, cpus, m):
+    traj = _random_trajectory(m, 20, m=m)
+    traj.positions[19, m // 2, 1] = np.nan  # an instant of the last span only
+    with pytest.raises(ValueError) as serial:
+        recursion_audit(traj)
+    spans = _split_spans(monkeypatch, cpus)
+    threads = threading.active_count()
+    with pytest.raises(ValueError) as split:
+        recursion_audit(traj)
+    assert str(split.value) == str(serial.value) == "positions must be finite"
+    assert len(spans) == cpus and threading.active_count() == threads
+
+
+def test_recursion_audit_on_one_usable_cpu_starts_no_thread(monkeypatch):
+    started, start = [], threading.Thread.start
+
+    def counting(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    spans = _split_spans(monkeypatch, 1)
+    traj = _random_trajectory(1, 30, m=23)
+    _assert_matches_oracle(traj)
+    assert spans == [31] and started == []
+    _split_spans(monkeypatch, 2)
+    _assert_matches_oracle(traj)
+    assert len(started) == 1
 
 
 def test_envelope_audit_leaderless_is_report():
