@@ -1,17 +1,15 @@
 """Deterministic simulator and analysis tools for sampled-data distributed
 control of unicycle swarms on proximity networks."""
 
-from .conditions import (ConditionReport, InitialDiagnostics, LeaderDegreeReport,
-                         check_corollary1, check_theorem1, check_theorem2, check_theorem3,
-                         initial_diagnostics, leader_degree_estimates)
-from .control import ControlSignal, follower_control, leader_control, trajectory_controls
+from .conditions import (ConditionReport, check_corollary1, check_theorem1, check_theorem2,
+                         check_theorem3)
+from .control import ControlSignal, follower_control, leader_control
 from .dynamics import (LEADER_CONSTANT, LEADER_DYNAMIC, LEADERLESS, ConvexityError,
                        ModelParams, SwarmState, Trajectory, advance_positions,
                        closed_form_displacement, interpolate, leader_discrete_step,
                        leaderless_discrete_step, run_epoch, sample_initial)
-from .graphs import (GraphSweep, ProximityGraph, RingSet, SpectralError, SpectralSummary,
-                     averaging_matrix, build_graph, connectivity, normalized_laplacian,
-                     pairwise_distances, ring_sets, spectral_summary)
+from .graphs import (GraphSweep, ProximityGraph, SpectralSummary, averaging_matrix, build_graph,
+                     connectivity, normalized_laplacian, pairwise_distances, spectral_summary)
 from .harness import (CampaignSummary, ConfigError, Obstacle, RunConfig, RunResult,
                       campaign, load_trajectory, run, scenario_fig3)
 from .metrics import (EnvelopeAuditReport, MetricsBaseline, RecursionAuditReport, RunPass,

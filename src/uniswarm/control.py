@@ -51,12 +51,3 @@ def leader_control(agent: int, state: SwarmState, graph: ProximityGraph, tau: fl
     u = (vartheta * (reference_speed - float(state.speeds[agent]))
          + (1.0 - vartheta) * local.u * tau) / tau
     return ControlSignal(omega=omega, u=u)
-
-
-def trajectory_controls(trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """The zero-order-hold controls of each dwell interval, (K, m) each:
-    omega = (theta(t_{k+1}) - theta(t_k)) / tau and u = (v(t_{k+1}) - v(t_k)) / tau."""
-    tau = trajectory.params.tau_n
-    return (np.diff(trajectory.headings, axis=0) / tau,
-            np.diff(trajectory.speeds, axis=0) / tau)
-

@@ -11,18 +11,10 @@ kept for sensitivity runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-
-class SpectralError(RuntimeError):
-    """Eigen-solver failed to converge; carries the residual norm."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual={residual:.3e})")
-        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -65,27 +57,6 @@ class SpectralSummary:
     eigenvalues: np.ndarray  # non-decreasing, in [0, 2]
     spectral_gap: float  # max(|1 - lambda_1|, |1 - lambda_{n-1}|)
     is_connected: bool
-
-
-@dataclass(frozen=True)
-class RingSet:
-    """Agents whose initial distance from ``node`` lies in [(1-eta)r, (1+eta)r].
-
-    The annulus bounds how much the node's neighborhood can change while
-    every pairwise distance stays within the drift budget.
-    """
-
-    node: int
-    followers: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    leaders: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-
-    @property
-    def r_i1(self) -> int:
-        return len(self.followers)
-
-    @property
-    def r_i2(self) -> int:
-        return len(self.leaders)
 
 
 def pairwise_distances(positions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -547,10 +518,6 @@ def normalized_laplacian(graph: ProximityGraph) -> np.ndarray:
     return lap
 
 
-# Dense eigendecomposition is exact and cheap up to a few thousand nodes;
-# beyond the limit only the extremal eigenvalues are needed for the gap.
-DENSE_EIG_LIMIT = 5000
-
 _CONNECTED_TOL = 1e-9
 
 
@@ -561,70 +528,10 @@ def spectral_summary(graph: ProximityGraph) -> SpectralSummary:
     the averaging matrix P equal 1 - lambda_i by similarity, so the gap
     computed here is exactly the consensus contraction rate.
     """
-    m = graph.node_count
-    if m == 1:
+    if graph.node_count == 1:
         return SpectralSummary(eigenvalues=np.zeros(1), spectral_gap=0.0, is_connected=True)
-
-    if m <= DENSE_EIG_LIMIT:
-        eigenvalues = np.linalg.eigvalsh(normalized_laplacian(graph))
-        eigenvalues = np.sort(eigenvalues)
-        lam1 = eigenvalues[1]
-        lam_top = eigenvalues[-1]
-        connected = lam1 > _CONNECTED_TOL
-    else:
-        eigenvalues, lam1, lam_top, connected = _extremal_eigenvalues(graph)
-
+    eigenvalues = np.sort(np.linalg.eigvalsh(normalized_laplacian(graph)))
+    lam1, lam_top = eigenvalues[1], eigenvalues[-1]
     gap = max(abs(1.0 - lam1), abs(1.0 - lam_top))
     return SpectralSummary(eigenvalues=eigenvalues, spectral_gap=float(gap),
-                           is_connected=bool(connected))
-
-
-def _extremal_eigenvalues(graph: ProximityGraph):
-    """lambda_0, lambda_1 and lambda_{n-1} of the normalized Laplacian.
-
-    A disconnected graph has lambda_1 = 0 exactly, so it gets the gap 1 of
-    the dense path without the shift-invert at sigma = 0, whose LU factor is
-    exactly singular there.
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
-    lap = csr_matrix(normalized_laplacian(graph))
-    connected = connectivity(graph)
-    try:
-        high = eigsh(lap, k=1, which="LA", return_eigenvectors=False)
-        low = (np.sort(eigsh(lap, k=2, sigma=0, which="LM", return_eigenvectors=False))
-               if connected else np.zeros(2))
-    except ArpackNoConvergence as exc:
-        residual = float(np.linalg.norm(getattr(exc, "eigenvalues", np.array([np.inf]))))
-        raise SpectralError("eigen-solver did not converge", residual) from exc
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise SpectralError(f"eigen-solver failed: {exc}", float("nan")) from exc
-    eigenvalues = np.array([low[0], low[1], high[0]])
-    return eigenvalues, eigenvalues[1], eigenvalues[2], connected
-
-
-def ring_sets(initial_positions: np.ndarray, radius: float, eta: float,
-              leader_mask: np.ndarray | None = None) -> list[RingSet]:
-    """Per-node annulus membership [(1-eta)r, (1+eta)r], split by role, for any eta > 0."""
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    positions = np.asarray(initial_positions, dtype=float)
-    m = positions.shape[0]
-    if leader_mask is None:
-        leader_mask = np.zeros(m, dtype=bool)
-    leader_mask = np.asarray(leader_mask, dtype=bool)
-
-    dist = pairwise_distances(positions)
-    lo, hi = (1.0 - eta) * radius, (1.0 + eta) * radius
-    in_annulus = (dist >= lo) & (dist <= hi)
-    np.fill_diagonal(in_annulus, False)
-
-    out = []
-    for i in range(m):
-        members = np.where(in_annulus[i])[0]
-        out.append(RingSet(node=i,
-                           followers=members[~leader_mask[members]],
-                           leaders=members[leader_mask[members]]))
-    return out
-
+                           is_connected=bool(lam1 > _CONNECTED_TOL))

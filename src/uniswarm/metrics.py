@@ -304,16 +304,18 @@ def recursion_audit(traj: Trajectory, substep_count: int = 16) -> RecursionAudit
     The inequality follows from the triangle inequality and |sin x| <= |x|,
     so any violation beyond tolerance is an implementation bug.
     """
-    return _recursion_audit(traj, substep_count, _distance_changes(traj.positions))
+    return _recursion_audit(traj, substep_count, lambda: _distance_changes(traj.positions))
 
 
 def _recursion_audit(traj: Trajectory, substep_count: int,
-                     distance_changes: np.ndarray) -> RecursionAuditReport:
-    """The audit with the left-hand sides ``distance_changes``, one per step."""
+                     distance_changes) -> RecursionAuditReport:
+    """The audit with the left-hand sides from ``distance_changes()``, one
+    per step, called once the arguments are checked."""
     if traj.n_steps < 1:
         raise ValueError("trajectory needs at least 2 sampling instants")
     if substep_count < 1:
         raise ValueError(f"substep_count must be >= 1, got {substep_count}")
+    changes = distance_changes()
     steps, tau = traj.n_steps, traj.params.tau_n
     speeds, headings = traj.speeds, traj.headings
     int_dv = np.empty(steps)
@@ -327,7 +329,7 @@ def _recursion_audit(traj: Trajectory, substep_count: int,
     vmax = np.abs(speeds[:-1]).max(axis=1)
     rhs = 2.0 * int_dv + 2.0 * vmax * int_dth
 
-    slacks = rhs - distance_changes
+    slacks = rhs - changes
     failed = slacks < -_AUDIT_TOL
     verdicts = np.where(failed, FAIL, PASS).tolist()
     max_violation = float(-slacks[failed].min()) if failed.any() else 0.0
@@ -371,6 +373,8 @@ def _envelope_audit(traj: Trajectory, leader_shares) -> EnvelopeAuditReport:
     """The audit with alpha_i(0), mu and the first instant with an empty
     neighborhood from ``leader_shares()``, called once the premises that
     need no graph hold."""
+    if traj.n_steps < 1:
+        return EnvelopeAuditReport(verdict=SKIP, reason="trajectory too short")
     if not traj.leader_mask.any():
         return _leaderless_envelope_report(traj)
 
@@ -383,9 +387,6 @@ def _envelope_audit(traj: Trajectory, leader_shares) -> EnvelopeAuditReport:
 
     mask = traj.leader_mask
     followers, leaders = ~mask, mask
-    if traj.n_steps < 1:
-        return EnvelopeAuditReport(verdict=SKIP, reason="trajectory too short")
-
     theta_dev = np.abs(traj.headings - theta_bar)
     v_dev = np.abs(traj.speeds - v_bar)
     big_a = float(theta_dev[1, followers].max())
@@ -503,7 +504,7 @@ class RunPass:
             self.connected))]
 
     def recursion_audit(self, traj: Trajectory, substep_count: int = 16) -> RecursionAuditReport:
-        return _recursion_audit(traj, substep_count, np.array(self._distance_change))
+        return _recursion_audit(traj, substep_count, lambda: np.array(self._distance_change))
 
     def geometric_envelope_audit(self, traj: Trajectory) -> EnvelopeAuditReport:
         shares = (self.baseline.alphas, max(self._alpha_drift), self._first_empty)
@@ -525,8 +526,8 @@ def ring_containment_check(traj: Trajectory) -> dict:
     the neighbor-set change at each instant must be contained in the initial
     ring sets.  Exact cross-check against the annulus membership: every pair
     whose neighbor relation differs from k = 0's at an instant within the
-    budget must have its initial distance in [(1-eta)r, (1+eta)r] (see
-    :func:`ring_sets`), eta = ``eta_n_effective``, which must be positive.
+    budget must have its initial distance in the closed annulus
+    [(1-eta)r, (1+eta)r], eta = ``eta_n_effective``, which must be positive.
     The condensed distances are taken a chunk of instants at a time."""
     params = traj.params
     radius, eta, budget = params.r_n, params.eta_n_effective, params.drift_budget

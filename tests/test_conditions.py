@@ -1,12 +1,9 @@
 import math
 
-import numpy as np
 import pytest
 
 from uniswarm import (ModelParams, ReferenceSchedule, check_corollary1, check_theorem1,
-                      check_theorem2, check_theorem3, initial_diagnostics,
-                      leader_degree_estimates, sample_initial)
-from uniswarm.dynamics import SwarmState
+                      check_theorem2, check_theorem3)
 
 
 def _params(**kw):
@@ -119,64 +116,3 @@ def test_theorem3_doubling_jumps_scales_requirement():
     rep_d = check_theorem3(p, double, separation=0.0)
     sum_b, sum_d = 1.0, 2.0
     assert rep_d.lhs / rep_b.lhs == pytest.approx((1 + sum_d) / (1 + sum_b))
-
-
-def test_initial_diagnostics_requires_time_zero():
-    p = _params()
-    state = sample_initial(p, 0)
-    state.sample_index = 3
-    with pytest.raises(ValueError, match="k = 0"):
-        initial_diagnostics(state, p)
-
-
-def test_initial_diagnostics_degenerate_point_cloud():
-    p = ModelParams(n=10, r_n=0.3, v_n=0.1, tau_n=0.01)
-    state = SwarmState(positions=np.full((10, 2), 0.5), headings=np.zeros(10),
-                       speeds=np.zeros(10), leader_mask=np.zeros(10, dtype=bool))
-    diag = initial_diagnostics(state, p)
-    assert diag.d_max0 == diag.d_min0 == 10
-    assert diag.max_cell_occupancy == 10
-    assert not diag.flags["cell_occupancy_within_band"]
-    assert not diag.flags["d_max_within_band"]
-
-
-def test_initial_diagnostics_scales_on_sampled_state():
-    p = ModelParams(n=2000, r_n=0.15, v_n=0.2, tau_n=0.01)
-    diag = initial_diagnostics(sample_initial(p, 1), p)
-    assert diag.d_min0 >= 1
-    assert diag.kappa == pytest.approx(math.sqrt(diag.d_max0 / diag.d_min0))
-    assert diag.lambda_hat == pytest.approx(1 - 0.15 ** 2 / 288)
-    assert diag.f_n == pytest.approx(math.sqrt(2000 * 0.15 ** 2 * math.log(2000)))
-    assert diag.theta_sum_max >= 0 and diag.v_sum_max >= 0
-
-
-def test_initial_diagnostics_warns_on_bad_window():
-    p = ModelParams(n=100, r_n=0.3, v_n=0.1, tau_n=0.01)
-    with pytest.warns(UserWarning, match="admissible window"):
-        initial_diagnostics(sample_initial(p, 0), p, a_n=1.5)
-
-
-def test_leader_degree_estimates_zero_leaders():
-    p = ModelParams(n=50, r_n=0.3, v_n=0.1, tau_n=0.01)
-    rep = leader_degree_estimates(sample_initial(p, 2), p)
-    assert rep.d12_min == rep.d12_max == 0
-    assert rep.alpha_max == 0.0 and rep.expected_alpha == 0.0
-
-
-def test_leader_degree_estimates_symmetric_roles():
-    # alpha_n = 1: leaders and followers identically distributed
-    p = ModelParams(n=2000, r_n=0.15, v_n=0.1, tau_n=0.01, alpha_n=1.0)
-    rep = leader_degree_estimates(sample_initial(p, 3), p)
-    assert rep.d11_max == pytest.approx(rep.d12_max, rel=0.25)
-    assert rep.expected_alpha == pytest.approx(0.5)
-    assert abs(rep.alpha_mean - 0.5) < 0.05
-
-
-def test_leader_degree_alpha_mean_band():
-    # frozen from a Monte-Carlo oracle: mean alpha_i(0) stays within 20% of
-    # alpha/(1+alpha) at n=4000, alpha=0.2, r=0.15
-    p = ModelParams(n=4000, r_n=0.15, v_n=0.1, tau_n=0.01, alpha_n=0.2)
-    rep = leader_degree_estimates(sample_initial(p, 4), p)
-    expected = 0.2 / 1.2
-    assert 0.8 * expected <= rep.alpha_mean <= 1.2 * expected
-    assert rep.flags["alpha_mean_within_band"]

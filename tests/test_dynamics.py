@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from uniswarm import (LEADER_DYNAMIC, LEADERLESS, ModelParams, advance_positions,
                       build_graph, closed_form_displacement, dynamics, interpolate,
                       leader_discrete_step, leaderless_discrete_step, run_epoch,
-                      sample_initial, trajectory_controls)
+                      sample_initial)
 from uniswarm.dynamics import SwarmState, integrate_position_oracle
 
 from conftest import held_average_oracle, make_state
@@ -316,16 +316,6 @@ def test_run_epoch_leaderless_convexity_holds():
     h_min = traj.headings.min(axis=1)
     assert np.all(np.diff(h_max) <= 1e-12) and np.all(np.diff(h_min) >= -1e-12)
     assert traj.controller == LEADERLESS and math.isnan(traj.reference_speed)
-
-
-def test_run_epoch_records_controls():
-    p = ModelParams(n=5, r_n=0.5, v_n=0.1, tau_n=0.01)
-    traj = run_epoch(sample_initial(p, 12), p, 3)
-    omegas, accels = trajectory_controls(traj)
-    assert omegas.shape == accels.shape == (3, 5)
-    np.testing.assert_allclose(traj.headings[1] - traj.headings[0],
-                               omegas[0] * p.tau_n, atol=1e-15)
-    np.testing.assert_allclose(traj.speeds[3] - traj.speeds[2], accels[2] * p.tau_n, atol=1e-15)
 
 
 @pytest.mark.parametrize("leaders", [[3, 4], [0, 3]])  # consecutive indices, and not

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uniswarm import (GraphSweep, SpectralError, build_graph, connectivity, graphs, ring_sets,
-                      spectral_summary)
+from uniswarm import GraphSweep, build_graph, connectivity, graphs, spectral_summary
 from uniswarm.graphs import (averaging_matrix, leader_fractions, neighbor_sums, normalized_laplacian,
                              pairwise_distances)
 
@@ -169,46 +168,6 @@ def test_matrix_deviation_dimension_mismatch():
         matrix_deviation(np.eye(3), np.eye(4))
 
 
-def test_ring_sets_empty_when_all_far_apart():
-    pos = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
-    for ring in ring_sets(pos, 0.3, 1 / 512):
-        assert ring.r_i1 == 0 and ring.r_i2 == 0
-
-
-def test_ring_sets_distance_exactly_r():
-    rings = ring_sets(np.array([[0.0, 0.0], [0.3, 0.0]]), 0.3, 1 / 512)
-    assert list(rings[0].followers) == [1]
-    assert list(rings[1].followers) == [0]
-
-
-def test_ring_sets_exclude_self_and_split_roles():
-    pos = np.array([[0.0, 0.0], [0.3, 0.0], [0.0, 0.3]])
-    mask = np.array([False, False, True])
-    rings = ring_sets(pos, 0.3, 1 / 512, leader_mask=mask)
-    assert 0 not in set(rings[0].followers) | set(rings[0].leaders)
-    assert list(rings[0].followers) == [1] and list(rings[0].leaders) == [2]
-
-
-def test_ring_sets_validation():
-    pos = np.zeros((2, 2))
-    with pytest.raises(ValueError, match="eta"):
-        ring_sets(pos, 0.3, 0.0)
-    assert len(ring_sets(pos, 0.3, 0.1)) == 2  # beyond the strict 1/512: sensitivity studies
-
-
-def test_ring_cardinality_statistics():
-    # frozen from a 20-seed oracle run at n=2000, r=0.2, eta=1/512:
-    # mean cardinality fell in [1.42, 1.62] (expected scale 4*eta*pi*n*r^2
-    # = 1.963), max in [6, 9]
-    n, r, eta = 2000, 0.2, 1 / 512
-    expected = 4 * eta * math.pi * n * r * r
-    for seed in range(5):
-        rings = ring_sets(np.random.default_rng(seed).random((n, 2)), r, eta)
-        cards = np.array([ring.r_i1 + ring.r_i2 for ring in rings])
-        assert expected / 2 <= cards.mean() <= 2 * expected
-        assert cards.max() <= 12
-
-
 def test_pairwise_distances_symmetric_zero_diagonal():
     d = pairwise_distances(np.random.default_rng(10).random((7, 2)))
     assert np.array_equal(d, d.T)
@@ -220,52 +179,6 @@ def test_normalized_laplacian_matches_averaging_spectrum():
     lam = np.sort(np.linalg.eigvalsh(normalized_laplacian(g)))
     mu = np.sort(np.linalg.eigvals(averaging_matrix(g)).real)
     np.testing.assert_allclose(np.sort(1.0 - lam), mu, atol=1e-9)
-
-
-# --- the sparse spectral path (m > DENSE_EIG_LIMIT), forced at m = 300 ---------
-
-def _sparse_and_dense(g, monkeypatch):
-    dense = spectral_summary(g)
-    monkeypatch.setattr(graphs, "DENSE_EIG_LIMIT", 10)
-    sparse = spectral_summary(g)
-    monkeypatch.undo()
-    return sparse, dense
-
-
-@pytest.mark.parametrize("radius", [0.15, 0.2, 0.3])
-def test_sparse_spectral_path_matches_eigvalsh(radius, monkeypatch):
-    g = build_graph(np.random.default_rng(0).random((300, 2)), radius)
-    assert connectivity(g)
-    sparse, dense = _sparse_and_dense(g, monkeypatch)
-    assert len(sparse.eigenvalues) == 3
-    assert sparse.eigenvalues[1] == pytest.approx(dense.eigenvalues[1], abs=1e-12)
-    assert sparse.eigenvalues[-1] == pytest.approx(dense.eigenvalues[-1], abs=1e-12)
-    assert sparse.spectral_gap == pytest.approx(dense.spectral_gap, abs=1e-12)
-    assert sparse.is_connected and dense.is_connected
-
-
-def test_sparse_spectral_path_disconnected_graph(monkeypatch):
-    # the shift-invert at sigma=0 used to raise a bare "Factor is exactly singular"
-    g = build_graph(np.random.default_rng(0).random((300, 2)), 0.05)
-    assert not connectivity(g)
-    sparse, dense = _sparse_and_dense(g, monkeypatch)
-    assert not sparse.is_connected and not dense.is_connected
-    assert sparse.spectral_gap == 1.0
-    assert dense.spectral_gap == pytest.approx(1.0, abs=1e-12)
-    assert sparse.eigenvalues[-1] == pytest.approx(dense.eigenvalues[-1], abs=1e-12)
-
-
-def test_sparse_spectral_solver_failure_is_spectral_error(monkeypatch):
-    import scipy.sparse.linalg
-
-    def singular(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
-
-    g = build_graph(np.random.default_rng(0).random((300, 2)), 0.3)
-    monkeypatch.setattr(graphs, "DENSE_EIG_LIMIT", 10)
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", singular)
-    with pytest.raises(SpectralError, match="exactly singular"):
-        spectral_summary(g)
 
 
 # --- GraphSweep --------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 
 import numpy as np
@@ -13,7 +14,7 @@ from uniswarm import (ModelParams, ReferenceSchedule, RunConfig, RunPass, build_
 from uniswarm import graphs, load_trajectory, metrics
 from uniswarm.dynamics import LEADER_CONSTANT, LEADER_DYNAMIC, LEADERLESS, SwarmState
 from uniswarm.graphs import (averaging_matrix, averaging_rows, leader_fractions,
-                             pairwise_distances, ring_sets)
+                             pairwise_distances)
 from uniswarm.metrics import (FAIL, PASS, REPORT, SKIP, EnvelopeAuditReport, StepMetrics,
                               _audit_block, _envelope_integral, write_metrics_csv)
 
@@ -297,6 +298,31 @@ def test_recursion_audit_rejects_zero_substeps():
         recursion_audit(traj, substep_count=0)
 
 
+def _first_instant(traj):
+    """``traj`` cut to its first instant: a trajectory with no step to audit."""
+    return dataclasses.replace(traj, times=traj.times[:1], positions=traj.positions[:1],
+                               headings=traj.headings[:1], speeds=traj.speeds[:1],
+                               reference_headings=traj.reference_headings[:0])
+
+
+@pytest.mark.parametrize("one_instant, substeps", [(True, 16), (False, 0)])
+def test_recursion_audit_checks_its_arguments_before_any_distance(monkeypatch, one_instant,
+                                                                  substeps):
+    calls = []
+
+    def counting(positions, real=metrics._distance_changes):
+        calls.append(len(positions))
+        return real(positions)
+
+    monkeypatch.setattr(metrics, "_distance_changes", counting)
+    traj = _random_trajectory(0, 5)
+    with pytest.raises(ValueError, match="instants" if one_instant else "substep_count"):
+        recursion_audit(_first_instant(traj) if one_instant else traj, substep_count=substeps)
+    assert calls == []
+    recursion_audit(traj)
+    assert calls == [6]
+
+
 def test_recursion_audit_stationary_swarm():
     p = ModelParams(n=5, r_n=0.5, v_n=0.0, tau_n=0.01)
     state = sample_initial(p, 1)
@@ -421,6 +447,15 @@ def test_envelope_audit_leaderless_is_report():
     assert 0.0 <= rep.details["fraction_within"] <= 1.0
 
 
+@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_CONSTANT, LEADER_DYNAMIC])
+def test_envelope_audit_skips_a_one_instant_trajectory(mode):
+    p = ModelParams(n=6, r_n=0.5, v_n=0.1, tau_n=0.01, alpha_n=0.0 if mode == LEADERLESS else 0.5)
+    schedule = ReferenceSchedule(headings=[0.0, 0.5]) if mode == LEADER_DYNAMIC else None
+    traj = run_epoch(sample_initial(p, 0), p, 3, controller=mode, schedule=schedule)
+    rep = geometric_envelope_audit(_first_instant(traj))
+    assert (rep.verdict, rep.reason) == (SKIP, "trajectory too short")
+
+
 def test_envelope_audit_vartheta_one_trivial():
     p = ModelParams(n=10, r_n=2.0, v_n=0.1, tau_n=0.01, alpha_n=0.3, vartheta=1.0)
     traj = run_epoch(sample_initial(p, 6), p, 20, controller=LEADER_CONSTANT,
@@ -500,12 +535,13 @@ def test_ring_containment_under_negligible_drift():
 def _oracle_ring_containment_check(traj):
     """ring_containment_check as it was before it read condensed distances:
     one dense distance matrix and adjacency per instant, and each changed
-    pair looked up in the initial ring sets."""
+    pair looked up in the initial ring sets, the pairs whose distance at
+    k = 0 lies in the closed annulus [(1-eta)r, (1+eta)r]."""
     params = traj.params
-    budget = params.drift_budget
+    budget, radius, eta = params.drift_budget, params.r_n, params.eta_n_effective
     dist0 = pairwise_distances(traj.positions[0])
-    rings = ring_sets(traj.positions[0], params.r_n, params.eta_n_effective, traj.leader_mask)
-    ring_members = [set(r.followers.tolist()) | set(r.leaders.tolist()) for r in rings]
+    in_ring = (dist0 >= (1.0 - eta) * radius) & (dist0 <= (1.0 + eta) * radius)
+    np.fill_diagonal(in_ring, False)
     adj0 = build_graph(traj.positions[0], params.r_n, params.self_inclusive).adjacency
 
     holds_up_to = -1
@@ -520,7 +556,7 @@ def _oracle_ring_containment_check(traj):
         adj_k = build_graph(traj.positions[k], params.r_n, params.self_inclusive).adjacency
         changed = adj_k != adj0
         for i, j in zip(*np.where(changed)):
-            if j not in ring_members[i]:
+            if not in_ring[i, j]:
                 contained = False
     return {"drift_within_budget_up_to": holds_up_to, "containment_holds": contained}
 
@@ -803,7 +839,7 @@ def test_drift_and_distance_change_without_pairs_and_with_one_pair(tmp_path, m):
     assert [r.max_distance_drift for r in result.metrics] == np.abs(distance - distance[0]).tolist()
     change = np.abs(np.diff(distance))
     assert change.max() > 0.0 if m == 2 else (change == 0.0).all()
-    want = metrics._recursion_audit(traj, 16, change).slacks
+    want = metrics._recursion_audit(traj, 16, lambda: change).slacks
     for slacks in (result.recursion.slacks, recursion_audit(traj).slacks,
                    recursion_audit(load_trajectory(tmp_path)).slacks):
         assert np.array_equal(slacks, want)
