@@ -6,8 +6,10 @@ fresh directory: the leaderless m=500 config, the fig3 scenario and the
 acceptance-criterion-8 leader campaign config (m=130, 1000 steps).  It
 prints one JSON object holding, per config and seed, the sha256 of
 ``trajectory.csv``, ``trajectory.npy``, ``metrics.csv``, ``audits.json`` and
-``run_meta.json`` (the last without its ``wallclock`` entry), and the
-re-audit's recursion slacks (sha256 of their bytes), verdicts and
+``run_meta.json`` (the last without its ``wallclock`` entry), the sha256 of
+each column of ``metrics.csv`` (``metrics.csv columns``, by header name, so
+that a diff shows which columns moved), and the re-audit's recursion
+slacks (sha256 of their bytes), verdicts and
 ``ring_containment_check`` three times: from the files on disk
 (``reaudit_disk``, which reads ``trajectory.npy``), from a copy of the
 directory without ``trajectory.npy`` (``reaudit_csv``, which parses
@@ -18,9 +20,10 @@ Run it on two checkouts and diff the output:
     python3 scripts/pool_digests.py > after.json
 
 The library is imported from this checkout's ``src/``, with BLAS on one
-thread.  Of the output, only the digest of ``metrics.csv``, whose ``p_dev``
-column comes from LAPACK's SVD, depends on the BLAS build and the kernel it
-picks for the CPU (for OpenBLAS, ``OPENBLAS_CORETYPE``).
+thread.  Of the output, only the digests of ``metrics.csv`` and of its
+``p_dev`` column, which comes from a BLAS Gram product and LAPACK's
+``eigvalsh``, depend on the BLAS build and the kernel it picks for the CPU
+(for OpenBLAS, ``OPENBLAS_CORETYPE``).
 """
 
 import hashlib
@@ -65,6 +68,15 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _column_digests(csv: bytes) -> dict:
+    """The sha256 of each column's text, its lines joined by newlines, by
+    header name."""
+    header, *lines = csv.decode().splitlines()
+    columns = zip(*(line.split(",") for line in lines))
+    return {name: _sha256("\n".join(column).encode())
+            for name, column in zip(header.split(","), columns)}
+
+
 def _reaudit(traj, substeps: int) -> dict:
     recursion = recursion_audit(traj, substep_count=substeps)
     return {"slacks_sha256": _sha256(recursion.slacks.tobytes()),
@@ -77,6 +89,7 @@ def _reaudit(traj, substeps: int) -> dict:
 def digests(config: RunConfig, out: Path) -> dict:
     result = run(config, out_dir=out)
     record = {name: _sha256((out / name).read_bytes()) for name in FILES}
+    record["metrics.csv columns"] = _column_digests((out / "metrics.csv").read_bytes())
     meta = json.loads((out / "run_meta.json").read_text())
     del meta["wallclock"]
     record["run_meta.json"] = _sha256(json.dumps(meta, indent=1).encode())

@@ -112,6 +112,8 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    if args.substeps < 1:  # before the stored run is loaded and checked
+        raise ConfigError(f"--substeps must be >= 1, got {args.substeps}")
     traj = load_trajectory(args.traj)
     recursion = recursion_audit(traj, substep_count=args.substeps)
     report = {"recursion_fail_count": recursion.fail_count}

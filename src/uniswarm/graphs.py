@@ -28,10 +28,19 @@ class ProximityGraph:
         return self.adjacency.shape[0]
 
     @cached_property
+    def edges(self) -> np.ndarray:
+        """The flat indices i*m + j of the true entries of the adjacency in
+        increasing order, built on first use and kept with the graph.  A
+        graph of :class:`GraphSweep` is given them with its adjacency."""
+        return np.flatnonzero(self.adjacency)
+
+    @cached_property
     def degrees(self) -> np.ndarray:
         """d_i, the (m,) int neighbor counts, the node itself included when
-        the graph is self-inclusive."""
-        return self.adjacency.sum(axis=1)
+        the graph is self-inclusive: the lengths of the rows of
+        :attr:`neighbor_lists`."""
+        columns, starts = self.neighbor_lists
+        return np.diff(starts, append=len(columns))
 
     @cached_property
     def divisors(self) -> np.ndarray:
@@ -46,10 +55,8 @@ class ProximityGraph:
         the other, and the (m,) ``starts`` of the rows in ``columns``.  A row
         without neighbors, which only a graph without self loops can have,
         starts where the next row does."""
-        # the flat indices of the edges are in row-major order; at m = 500
-        # this takes half the time of np.nonzero's (row, column) pairs
-        columns = np.flatnonzero(self.adjacency) % self.node_count
-        return columns, np.cumsum(self.degrees) - self.degrees
+        m = self.node_count
+        return self.edges % m, np.searchsorted(self.edges, np.arange(m) * m)
 
 
 @dataclass(frozen=True)
@@ -278,24 +285,32 @@ class GraphSweep:
         self._index: tuple | None = None  # see _pair_index, for the last agent count m
 
     def _pair_index(self, m: int) -> tuple[np.ndarray, ...]:
-        """For m agents, the agents i < j of each condensed pair and the flat
-        indices i*m + j and j*m + i of the pairs in an m x m matrix."""
+        """For m agents, the agents i < j of each condensed pair, the flat
+        indices i*m + j and j*m + i of the pairs in an m x m matrix, and
+        the flat indices i*m + i of its diagonal."""
         if self._index is None or self._index[0] != m:
             first, second = np.triu_indices(m, 1)
-            self._index = (m, first, second, first * m + second, second * m + first)
+            self._index = (m, first, second, first * m + second, second * m + first,
+                           np.arange(m) * (m + 1))
         return self._index[1:]
 
-    def _adjacency(self, pairs: np.ndarray, m: int) -> np.ndarray:
-        """The m x m adjacency of the condensed ``pairs``, the diagonal set to
-        ``self_inclusive``: the pairs scattered into both triangles, the same
-        matrix as ``scipy.spatial.distance.squareform`` gives."""
-        _, _, upper, lower = self._pair_index(m)
+    def _graph(self, pairs: np.ndarray, m: int) -> ProximityGraph:
+        """The graph of the condensed ``pairs``, the diagonal set to
+        ``self_inclusive``, built from the flat indices of the true pairs in
+        both triangles and of the diagonal.  Sorted, they are the graph's
+        ``edges``, np.flatnonzero of its adjacency, which is set at them
+        alone: the matrix that ``scipy.spatial.distance.squareform`` gives."""
+        _, _, upper, lower, diagonal = self._pair_index(m)
+        true = np.flatnonzero(pairs)
+        parts = (upper[true], lower[true]) + ((diagonal,) if self.self_inclusive else ())
+        edges = np.concatenate(parts)
+        edges.sort()
         adjacency = np.zeros((m, m), dtype=bool)
-        flat = adjacency.reshape(-1)
-        flat[upper] = pairs
-        flat[lower] = pairs
-        np.fill_diagonal(adjacency, self.self_inclusive)
-        return adjacency
+        adjacency.reshape(-1)[edges] = True
+        graph = ProximityGraph(radius=self.radius, adjacency=adjacency,
+                               self_inclusive=self.self_inclusive)
+        graph.__dict__["edges"] = edges  # the value of the cached property
+        return graph
 
     def _take(self, rows: np.ndarray, m: int, pairs_of=None):
         """Yields (graph, start, stop) for the runs of instants on one graph
@@ -310,9 +325,7 @@ class GraphSweep:
         while start < n:
             if start or self.graph is None or not np.array_equal(pairs_of(start), self._pairs):
                 self._pairs = pairs_of(start)
-                self.graph = ProximityGraph(radius=self.radius,
-                                            adjacency=self._adjacency(self._pairs, m),
-                                            self_inclusive=self.self_inclusive)
+                self.graph = self._graph(self._pairs, m)
             stop = start + 1
             if stop < n:
                 changed = np.flatnonzero((rows[stop:] != rows[start]).any(axis=1))
@@ -407,7 +420,7 @@ class GraphSweep:
         if not np.isfinite(anchor).all():
             return k
         total, m = positions.shape[:2]
-        first, second, _, _ = self._pair_index(m)
+        first, second = self._pair_index(m)[:2]
         margins = np.abs(anchor - self.radius)
         order = np.argsort(margins)
         margins = margins[order]

@@ -131,13 +131,15 @@ def _distance_steps(distances: np.ndarray,
 def _p_deviation(graph: ProximityGraph, baseline: MetricsBaseline) -> float:
     """||P(t_k) - P(0)||.  Row i of P depends only on the neighbor set of agent
     i, so the difference is zero outside the rows whose neighbor set changed
-    since k = 0."""
+    since k = 0.  The norm of those c rows M is sqrt(lambda_max(M M^T))
+    (Golub and Van Loan, Matrix Computations, 2.3): an eigenvalue of the
+    c x c Gram matrix costs less than the singular values of the c x m rows."""
     initial = baseline.graph
     changed = np.where((graph.adjacency != initial.adjacency).any(axis=1))[0]
     if not len(changed):
         return 0.0
     rows = averaging_rows(graph, changed) - averaging_rows(initial, changed)
-    return float(np.linalg.norm(rows, 2))
+    return float(np.sqrt(np.linalg.eigvalsh(rows @ rows.T)[-1]))
 
 
 def _leader_terms(graph: ProximityGraph, baseline: MetricsBaseline) -> tuple[float, bool]:

@@ -360,7 +360,26 @@ def test_audit_zero_substeps_exits_2(tmp_path, config_path, capsys):
     main(["run", "--config", str(config_path), "--out", str(out)])
     capsys.readouterr()
     assert main(["audit", "--traj", str(out), "--substeps", "0"]) == EXIT_CONFIG
-    assert "substep_count" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--substeps" in err and err.count("\n") == 1
+
+
+def test_audit_checks_substeps_before_loading_the_run(tmp_path, config_path, capsys,
+                                                      monkeypatch):
+    out = tmp_path / "r"
+    main(["run", "--config", str(config_path), "--out", str(out)])
+    loads = []
+
+    def counted(path):
+        loads.append(path)
+        return harness.load_trajectory(path)
+
+    monkeypatch.setattr(cli, "load_trajectory", counted)
+    for substeps in ("0", "-1"):
+        assert main(["audit", "--traj", str(out), "--substeps", substeps]) == EXIT_CONFIG
+    assert loads == []
+    assert main(["audit", "--traj", str(out), "--substeps", "1"]) == EXIT_OK
+    assert len(loads) == 1
 
 
 def test_out_dir_env_override(tmp_path, config_path, monkeypatch):

@@ -202,15 +202,18 @@ def test_graph_sweep_reuses_the_unchanged_graph():
 
 @pytest.mark.parametrize("self_inclusive", [True, False])
 def test_graph_sweep_matches_build_graph(self_inclusive):
-    rng = np.random.default_rng(12)
-    pos = rng.random((25, 2))
-    sweep = GraphSweep(0.3, self_inclusive)
-    for _ in range(20):
-        pos = pos + rng.normal(scale=0.02, size=pos.shape)
-        (got, _), want = next(sweep.runs(pos[None])), build_graph(pos, 0.3, self_inclusive)
-        assert np.array_equal(got.adjacency, want.adjacency)
-        assert np.array_equal(got.degrees, want.degrees)
-        assert (got.radius, got.self_inclusive) == (want.radius, want.self_inclusive)
+    # and a sparse swarm, about 15 neighbors of 2000 agents
+    for m, radius, instants in ((25, 0.3, 20), (2000, 0.05, 4)):
+        rng = np.random.default_rng(12)
+        pos = rng.random((m, 2))
+        sweep = GraphSweep(radius, self_inclusive)
+        for _ in range(instants):
+            pos = pos + rng.normal(scale=0.02, size=pos.shape)
+            (got, _), want = next(sweep.runs(pos[None])), build_graph(pos, radius, self_inclusive)
+            assert np.array_equal(got.adjacency, want.adjacency)
+            assert np.array_equal(got.degrees, want.degrees)
+            assert np.array_equal(got.edges, want.edges)
+            assert (got.radius, got.self_inclusive) == (want.radius, want.self_inclusive)
 
 
 def test_graph_sweep_input_validation():
@@ -358,6 +361,42 @@ def test_sweep_adjacency_equals_squareform_at_every_agent_count(self_inclusive):
         assert np.array_equal(graph.degrees, want.sum(axis=1))
 
 
+def _marked_swarm(m: int, radius: float, seed: int) -> np.ndarray:
+    """m random agents in the unit square, of which, as far as there are
+    agents for them, agent 0 sits far from all others, agents 1 and 2 at one
+    point, and agents 3 and 4 exactly ``radius`` apart."""
+    positions = np.random.default_rng(seed).random((m, 2))
+    marked = [[10.0, 10.0], [0.5, 0.5], [0.5, 0.5], [0.0, 0.75], [radius, 0.75]]
+    positions[:5] = marked[:m]
+    return positions
+
+
+@pytest.mark.parametrize("m, radius", [(1, 0.15), (2, 0.15), (23, 0.3), (130, 0.15),
+                                       (500, 0.15), (2000, 0.05)])
+@pytest.mark.parametrize("self_inclusive", [True, False])
+def test_sweep_graph_equals_the_dense_derivation(m, radius, self_inclusive):
+    """A changed graph of the sweep gets its adjacency, degrees and neighbor
+    lists from the flat indices of its true pairs; they equal what the
+    dense matrix of strict-< distances gives."""
+    positions = _marked_swarm(m, radius, seed=m)
+    graph, distances = next(GraphSweep(radius, self_inclusive).runs(positions[None]))
+    dense = pairwise_distances(positions) < radius
+    np.fill_diagonal(dense, self_inclusive)
+    degrees = dense.sum(axis=1)
+    assert np.array_equal(graph.adjacency, dense)
+    assert graph.degrees.dtype == degrees.dtype
+    assert np.array_equal(graph.degrees, degrees)
+    assert np.array_equal(graph.edges, np.flatnonzero(dense))
+    columns, starts = graph.neighbor_lists
+    assert np.array_equal(columns, np.flatnonzero(dense) % m)
+    assert np.array_equal(starts, np.cumsum(degrees) - degrees)
+    assert degrees[0] == self_inclusive  # agent 0 is isolated
+    if m >= 5:
+        assert dense[1, 2] and dense[2, 1]  # coincident agents are neighbors
+        assert distances[0, 3 * m - 6] == radius  # the pair (3, 4), d == r: no edge
+        assert not dense[3, 4] and not dense[4, 3]
+
+
 # --- GraphSweep.graphs: the graphs from the pairs near the radius -----------
 
 def _instant_graphs(runs):
@@ -377,6 +416,7 @@ def _assert_graphs_match_runs(positions, radius, self_inclusive=True):
         built = build_graph(x, radius, self_inclusive)
         assert np.array_equal(graph.adjacency, built.adjacency)
         assert np.array_equal(graph.degrees, built.degrees)
+        assert np.array_equal(graph.edges, built.edges)
         assert (graph.radius, graph.self_inclusive) == (built.radius, built.self_inclusive)
     assert ([a is b for a, b in zip(got[1:], got[:-1])]
             == [a is b for a, b in zip(want[1:], want[:-1])])

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from uniswarm import (ModelParams, ReferenceSchedule, RunConfig, RunPass, build_graph,
+from uniswarm import (GraphSweep, ModelParams, ReferenceSchedule, RunConfig, RunPass, build_graph,
                       connectivity, geometric_envelope_audit, metrics_baseline, recursion_audit,
                       ring_containment_check, run, run_epoch, sample_initial, step_metrics,
                       sync_detect)
@@ -106,7 +106,7 @@ def test_p_deviation_isolated_agent_without_self_loop(isolated_at):
         moved[0] = (-FAR[0], FAR[1])
     got, dense = _p_deviation(moved, initial, 0.4, self_inclusive=False)
     assert dense > 0.0
-    assert abs(got - dense) <= 1e-12 * max(1.0, dense)
+    assert abs(got - dense) <= 1e-12 * dense
 
 
 def test_p_deviation_coincident_agents():
@@ -126,6 +126,56 @@ def test_p_deviation_exactly_zero_without_neighbor_change():
     for self_inclusive in (True, False):
         got, dense = _p_deviation(initial + 1e-9, initial, 0.3, self_inclusive)
         assert got == 0.0 and dense == 0.0
+
+
+def _assert_p_deviation_matches_svd(graph, initial_graph):
+    """metrics._p_deviation of ``graph`` against the k = 0 graph
+    ``initial_graph`` next to the dense SVD oracle, at 1e-12 relative."""
+    m = initial_graph.node_count
+    initial = SwarmState(positions=np.zeros((m, 2)), headings=np.zeros(m), speeds=np.zeros(m),
+                         leader_mask=np.zeros(m, dtype=bool))
+    got = metrics._p_deviation(graph, metrics._baseline(initial, initial_graph, None))
+    dense = matrix_deviation(averaging_matrix(graph), averaging_matrix(initial_graph))
+    assert dense > 0.0
+    assert abs(got - dense) <= 1e-12 * dense
+    return got
+
+
+def test_p_deviation_of_one_changed_row():
+    # a proximity graph changes rows in pairs; the norm is defined for any rows
+    initial = build_graph(np.random.default_rng(20).random((30, 2)), 0.3)
+    adjacency = initial.adjacency.copy()
+    adjacency[4, 9] = not adjacency[4, 9]
+    _assert_p_deviation_matches_svd(graphs.ProximityGraph(0.3, adjacency), initial)
+
+
+@pytest.mark.parametrize("self_inclusive", [True, False])
+def test_p_deviation_with_every_row_changed(self_inclusive):
+    # from one cluster, a complete graph, to a ring on which each agent
+    # keeps only the agents near it
+    angles = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
+    ring = np.column_stack((np.cos(angles), np.sin(angles)))
+    initial, now = (build_graph(x, 0.5, self_inclusive) for x in (0.1 * ring, 0.3 * ring))
+    assert (now.adjacency != initial.adjacency).any(axis=1).all()
+    _assert_p_deviation_matches_svd(now, initial)
+
+
+def test_p_deviation_is_exactly_zero_once_the_graph_returns_to_the_first():
+    # A -> B -> A: the last graph is a new object with the k = 0 adjacency
+    a = np.array([[0.0, 0.0], [0.2, 0.0], [0.5, 0.0]])
+    b = a.copy()
+    b[2, 0] = 0.45  # 2 joins 1
+    instants = RunPass(SwarmState(positions=a, headings=np.zeros(3), speeds=np.zeros(3),
+                                  leader_mask=np.zeros(3, dtype=bool)))
+    sweep, seen = GraphSweep(0.3), []
+    for x in (a, b, a):
+        graph, distances = next(sweep.runs(x[None]))
+        instants.observe(graph, distances)
+        seen.append(graph)
+    assert seen[2] is not seen[0] and np.array_equal(seen[2].adjacency, seen[0].adjacency)
+    p_dev = instants._p_deviation
+    assert p_dev[1] == _assert_p_deviation_matches_svd(seen[1], seen[0])
+    assert [repr(p_dev[0]), repr(p_dev[2])] == ["0.0", "0.0"]
 
 
 def test_envelope_integral_exact_for_linear_envelope():
@@ -775,8 +825,15 @@ def _oracle_envelope_audit(traj, tol=1e-9):
 
 
 def _assert_fused_matches_oracle(traj, rows, recursion, envelope):
-    # repr is exact for floats, tells 0.0 from -0.0 and matches nan with nan
-    assert [repr(r) for r in rows] == [repr(r) for r in _oracle_metrics(traj)]
+    # repr is exact for floats, tells 0.0 from -0.0 and matches nan with nan;
+    # p_deviation is taken from the Gram matrix of the changed rows, whose
+    # last bits differ from the oracle's SVD, and an exact 0 stays exact
+    oracle = _oracle_metrics(traj)
+    assert len(rows) == len(oracle)
+    for got, want in zip(rows, oracle):
+        assert repr(dataclasses.replace(got, p_deviation=0.0)) == \
+            repr(dataclasses.replace(want, p_deviation=0.0))
+        assert abs(got.p_deviation - want.p_deviation) <= 1e-12 * want.p_deviation
     verdicts, slacks, fails, max_violation = _oracle_recursion_audit(traj)
     assert recursion.verdicts == verdicts
     assert np.array_equal(recursion.slacks, slacks)
