@@ -28,7 +28,8 @@ class ControlSignal:
 def follower_control(agent: int, state: SwarmState, graph: ProximityGraph, tau: float) -> ControlSignal:
     """Nearest-neighbor rule: average state differences over current neighbors,
     scaled by 1/tau so one hold interval lands exactly on the neighbor mean."""
-    neighbors = graph.adjacency[agent]
+    columns, starts = graph.neighbor_lists
+    neighbors = columns[starts[agent]:starts[agent] + graph.degrees[agent]]
     degree = float(graph.divisors[agent])
     d_theta = float(np.sum(state.headings[neighbors] - state.headings[agent]))
     d_speed = float(np.sum(state.speeds[neighbors] - state.speeds[agent]))

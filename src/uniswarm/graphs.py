@@ -19,20 +19,26 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ProximityGraph:
+    """A neighbor graph of m nodes, stored as its sorted flat ``edges`` alone.
+
+    ``edges`` holds the flat indices i*m + j of the ordered neighbor pairs
+    (i, j), each pair in both orders, in increasing order; it holds the
+    diagonal pairs (i, i) exactly when the graph is ``self_inclusive``."""
+
     radius: float
-    adjacency: np.ndarray  # (m, m) bool, symmetric
+    node_count: int
+    edges: np.ndarray  # (E,) int, increasing
     self_inclusive: bool = True
 
-    @property
-    def node_count(self) -> int:
-        return self.adjacency.shape[0]
-
     @cached_property
-    def edges(self) -> np.ndarray:
-        """The flat indices i*m + j of the true entries of the adjacency in
-        increasing order, built on first use and kept with the graph.  A
-        graph of :class:`GraphSweep` is given them with its adjacency."""
-        return np.flatnonzero(self.adjacency)
+    def adjacency(self) -> np.ndarray:
+        """The (m, m) bool matrix, symmetric and true at ``edges`` alone,
+        built when a dense consumer first asks for it and kept with the
+        graph."""
+        m = self.node_count
+        adjacency = np.zeros((m, m), dtype=bool)
+        adjacency.reshape(-1)[self.edges] = True
+        return adjacency
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -257,7 +263,19 @@ def build_graph(positions: np.ndarray, radius: float, self_inclusive: bool = Tru
     positions = _checked_positions(positions)
     adjacency = pairwise_distances(positions) < _checked_radius(radius)
     np.fill_diagonal(adjacency, self_inclusive)
-    return ProximityGraph(radius=float(radius), adjacency=adjacency, self_inclusive=self_inclusive)
+    return ProximityGraph(radius=float(radius), node_count=len(positions),
+                          edges=np.flatnonzero(adjacency), self_inclusive=self_inclusive)
+
+
+def _condensed_pairs(k: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The agents i < j of the condensed pair indices ``k`` at m agents, in
+    the pair order of ``scipy.spatial.distance.pdist``: row i holds the pairs
+    (i, i+1), ..., (i, m-1) from its start i(2m-1-i)/2 on, so i is the last
+    row that starts at or before k.  Integers only, in O(m) memory."""
+    rows = np.arange(m)
+    starts = rows * (2 * m - 1 - rows) // 2
+    i = np.searchsorted(starts, k, side="right") - 1
+    return i, k - starts[i] + i + 1
 
 
 class GraphSweep:
@@ -268,9 +286,10 @@ class GraphSweep:
     each instant's strict-``<`` pairs with the current graph's, a chunk of
     instants at a time; while they are equal, it keeps the previous
     :class:`ProximityGraph` object itself, so a caller that keeps quantities
-    derived from a graph reuses them while ``graph is previous``.  Only a
-    changed graph gets an m x m adjacency.  An adjacency that returns to an
-    earlier, non-adjacent instant's gets a new object.  :meth:`runs` also
+    derived from a graph reuses them while ``graph is previous``.  A
+    changed graph is built from its true pairs alone, with no m x m matrix.
+    A graph that returns to an earlier, non-adjacent instant's gets a new
+    object.  :meth:`runs` also
     gives the condensed distances of every instant (see
     :func:`_distance_chunks`); :meth:`graphs` gives the graphs alone, from the
     distances of the pairs near the radius, and reuses graph objects exactly
@@ -282,35 +301,21 @@ class GraphSweep:
         self.self_inclusive = self_inclusive
         self.graph: ProximityGraph | None = None  # the graph of the last instant taken
         self._pairs: np.ndarray | None = None  # the condensed adjacency of ``graph``
-        self._index: tuple | None = None  # see _pair_index, for the last agent count m
-
-    def _pair_index(self, m: int) -> tuple[np.ndarray, ...]:
-        """For m agents, the agents i < j of each condensed pair, the flat
-        indices i*m + j and j*m + i of the pairs in an m x m matrix, and
-        the flat indices i*m + i of its diagonal."""
-        if self._index is None or self._index[0] != m:
-            first, second = np.triu_indices(m, 1)
-            self._index = (m, first, second, first * m + second, second * m + first,
-                           np.arange(m) * (m + 1))
-        return self._index[1:]
 
     def _graph(self, pairs: np.ndarray, m: int) -> ProximityGraph:
         """The graph of the condensed ``pairs``, the diagonal set to
-        ``self_inclusive``, built from the flat indices of the true pairs in
-        both triangles and of the diagonal.  Sorted, they are the graph's
-        ``edges``, np.flatnonzero of its adjacency, which is set at them
-        alone: the matrix that ``scipy.spatial.distance.squareform`` gives."""
-        _, _, upper, lower, diagonal = self._pair_index(m)
-        true = np.flatnonzero(pairs)
-        parts = (upper[true], lower[true]) + ((diagonal,) if self.self_inclusive else ())
+        ``self_inclusive``: its ``edges`` are the sorted flat indices i*m + j
+        and j*m + i of the true pairs and, when self-inclusive, i*m + i, the
+        true entries of the matrix that ``scipy.spatial.distance.squareform``
+        gives."""
+        first, second = _condensed_pairs(np.flatnonzero(pairs), m)
+        parts = (first * m + second, second * m + first)
+        if self.self_inclusive:
+            parts += (np.arange(m) * (m + 1),)
         edges = np.concatenate(parts)
         edges.sort()
-        adjacency = np.zeros((m, m), dtype=bool)
-        adjacency.reshape(-1)[edges] = True
-        graph = ProximityGraph(radius=self.radius, adjacency=adjacency,
-                               self_inclusive=self.self_inclusive)
-        graph.__dict__["edges"] = edges  # the value of the cached property
-        return graph
+        return ProximityGraph(radius=self.radius, node_count=m, edges=edges,
+                              self_inclusive=self.self_inclusive)
 
     def _take(self, rows: np.ndarray, m: int, pairs_of=None):
         """Yields (graph, start, stop) for the runs of instants on one graph
@@ -420,10 +425,10 @@ class GraphSweep:
         if not np.isfinite(anchor).all():
             return k
         total, m = positions.shape[:2]
-        first, second = self._pair_index(m)[:2]
         margins = np.abs(anchor - self.radius)
         order = np.argsort(margins)
         margins = margins[order]
+        first, second = _condensed_pairs(order[:limit], m)  # a band is a prefix of order
         origin, anchor_pairs = positions[k - 1], anchor < self.radius
         window = max(1, _CHUNK_BYTES // (16 * m))
         while k < total:
@@ -436,7 +441,7 @@ class GraphSweep:
                 break
             band = order[:counts[n - 1]]
             n = min(n, max(1, _CHUNK_BYTES // (16 * max(len(band), 1))))
-            inside = _pair_distances(block[:n], first[band], second[band]) < self.radius
+            inside = _pair_distances(block[:n], first[:len(band)], second[:len(band)]) < self.radius
 
             def pairs_of(j):
                 pairs = anchor_pairs.copy()
@@ -517,7 +522,7 @@ def leader_fractions(graph: ProximityGraph,
     alpha_i is 0 where the neighborhood is empty.
     """
     mask = np.asarray(leader_mask, dtype=float)
-    own = np.diagonal(graph.adjacency)
+    own = graph.self_inclusive  # the node is its own neighbor exactly then
     leaders = neighbor_sums(graph, mask) - own * mask
     totals = graph.degrees - own
     fractions = np.where(totals > 0, leaders / np.where(totals > 0, totals, 1), 0.0)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uniswarm import GraphSweep, build_graph, connectivity, graphs, spectral_summary
+from uniswarm import (GraphSweep, SwarmState, build_graph, connectivity, follower_control, graphs,
+                      spectral_summary)
 from uniswarm.graphs import (averaging_matrix, leader_fractions, neighbor_sums, normalized_laplacian,
                              pairwise_distances)
 
@@ -266,6 +267,61 @@ def test_graph_sweep_runs_check_each_chunk_for_finite_positions(monkeypatch):
     assert sweep.graph is graph
     with pytest.raises(ValueError, match=r"shape \(n, m, 2\)"):
         next(GraphSweep(0.3).runs(np.zeros((2, 3, 3))))
+
+
+# --- the condensed pair map -----------------------------------------------------
+
+@pytest.mark.parametrize("sizes", [range(1, 301), [1000, 2000, 5000]])
+def test_condensed_pairs_are_triu_indices(sizes):
+    for m in sizes:
+        first, second = np.triu_indices(m, 1)
+        block = 1 << 20  # pairs mapped at a time, to keep m = 5000 small
+        for start in range(0, len(first), block):
+            k = np.arange(start, min(start + block, len(first)))
+            i, j = graphs._condensed_pairs(k, m)
+            assert np.array_equal(i, first[k]) and np.array_equal(j, second[k]), m
+
+
+@pytest.mark.parametrize("m", [10**4, 10**5])
+def test_condensed_pairs_at_row_boundaries(m):
+    # row i holds the pairs (i, i+1), ..., (i, m-1) from i(2m-1-i)/2 on
+    want = {}
+    for row in (0, 1, 2, m // 2, m - 3, m - 2):
+        start = row * (2 * m - 1 - row) // 2
+        want[start] = (row, row + 1)
+        want[start + m - 2 - row] = (row, m - 1)
+        if row:
+            want[start - 1] = (row - 1, m - 1)
+    assert max(want) == m * (m - 1) // 2 - 1  # the last pair, (m-2, m-1)
+    k = np.array(sorted(want))
+    i, j = graphs._condensed_pairs(k, m)
+    assert list(zip(i.tolist(), j.tolist())) == [want[key] for key in k.tolist()]
+
+
+@pytest.mark.parametrize("self_inclusive", [True, False])
+def test_sweep_graphs_build_no_dense_matrix(self_inclusive):
+    """A graph is its edges: the sweep, the neighbor sums, the leader shares
+    and an agent's control read them alone, and the m x m matrix is built
+    only when asked for, once."""
+    positions = _marked_swarm(130, 0.15, seed=3)
+    steps = np.random.default_rng(4).normal(scale=0.01, size=(40, 130, 2))
+    walk = positions + np.cumsum(steps, axis=0)
+    mask = np.arange(130) % 4 == 0
+    state = SwarmState(positions=positions, headings=np.zeros(130), speeds=np.ones(130),
+                       leader_mask=mask)
+    graphs_seen = [graph for graph, _ in GraphSweep(0.15, self_inclusive).runs(walk)]
+    graphs_seen += [graph for graph, _ in GraphSweep(0.15, self_inclusive).graphs(walk)]
+    assert len({id(graph) for graph in graphs_seen}) > 2
+    for graph in graphs_seen:
+        assert graph.divisors.min() >= 1
+        neighbor_sums(graph, mask.astype(float))
+        leader_fractions(graph, mask)
+        follower_control(0, state, graph, 0.01)
+        assert "adjacency" not in vars(graph)
+    built = build_graph(walk[-1], 0.15, self_inclusive)
+    assert "adjacency" not in vars(built)
+    assert np.array_equal(graphs_seen[-1].adjacency, built.adjacency)
+    assert graphs_seen[-1].adjacency is graphs_seen[-1].adjacency
 
 
 # --- condensed distances -------------------------------------------------------

@@ -146,7 +146,8 @@ def test_p_deviation_of_one_changed_row():
     initial = build_graph(np.random.default_rng(20).random((30, 2)), 0.3)
     adjacency = initial.adjacency.copy()
     adjacency[4, 9] = not adjacency[4, 9]
-    _assert_p_deviation_matches_svd(graphs.ProximityGraph(0.3, adjacency), initial)
+    _assert_p_deviation_matches_svd(graphs.ProximityGraph(0.3, 30, np.flatnonzero(adjacency)),
+                                    initial)
 
 
 @pytest.mark.parametrize("self_inclusive", [True, False])
@@ -1023,6 +1024,16 @@ def test_envelope_audit_computes_few_full_distance_vectors(monkeypatch, criterio
     report = geometric_envelope_audit(criterion8_seed0.trajectory)
     assert report.to_dict() == criterion8_seed0.envelope.to_dict() and report.verdict == PASS
     assert 0 < sum(rows) <= 10
+
+
+def test_envelope_audit_builds_no_dense_matrix(monkeypatch, criterion8_seed0):
+    # the leader shares read each graph's edges and neighbor lists alone
+    def refused(graph):
+        raise AssertionError("an m x m adjacency was built")
+
+    monkeypatch.setattr(graphs.ProximityGraph, "adjacency", property(refused))
+    report = geometric_envelope_audit(criterion8_seed0.trajectory)
+    assert report.to_dict() == criterion8_seed0.envelope.to_dict() and report.verdict == PASS
 
 
 @pytest.mark.parametrize("seed", [2, 3])
