@@ -8,6 +8,7 @@ envelopes are reported (verdict REPORT) but never failed.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -428,7 +429,9 @@ def _envelope_audit(traj: Trajectory, leader_shares) -> EnvelopeAuditReport:
 def _leaderless_envelope_report(traj: Trajectory) -> EnvelopeAuditReport:
     lambda_hat = 1.0 - traj.params.r_n ** 2 / 288.0
     delta_v = traj.speeds.max(axis=1) - traj.speeds.min(axis=1)
-    scale = 2.0 * np.sqrt(2.0) * float(np.linalg.norm(traj.speeds[1]))
+    # |v(1)| as the correctly rounded sum of squares, which no BLAS kernel reorders
+    v = traj.speeds[1]
+    scale = 2.0 * np.sqrt(2.0) * math.sqrt(math.fsum(v * v))
     ks = np.arange(1, traj.n_steps + 1)
     envelope = scale * lambda_hat ** (ks - 1)
     within = delta_v[1:] <= envelope + _AUDIT_TOL
