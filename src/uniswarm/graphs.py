@@ -19,11 +19,9 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ProximityGraph:
-    """A neighbor graph of m nodes, stored as its sorted flat ``edges`` alone.
-
-    ``edges`` holds the flat indices i*m + j of the ordered neighbor pairs
-    (i, j), each pair in both orders, in increasing order; it holds the
-    diagonal pairs (i, i) exactly when the graph is ``self_inclusive``."""
+    """A neighbor graph of m nodes, stored as its ``edges`` alone: the flat
+    indices i*m + j of its neighbor pairs (i, j), each pair in both orders
+    and (i, i) exactly when ``self_inclusive``, in increasing order."""
 
     radius: float
     node_count: int
@@ -289,11 +287,10 @@ class GraphSweep:
     derived from a graph reuses them while ``graph is previous``.  A
     changed graph is built from its true pairs alone, with no m x m matrix.
     A graph that returns to an earlier, non-adjacent instant's gets a new
-    object.  :meth:`runs` also
-    gives the condensed distances of every instant (see
-    :func:`_distance_chunks`); :meth:`graphs` gives the graphs alone, from the
-    distances of the pairs near the radius, and reuses graph objects exactly
-    where :meth:`runs` does.
+    object.  :meth:`runs` also gives the condensed distances of every
+    instant (see :func:`_distance_chunks`); :meth:`graphs` gives the graphs
+    alone, from the distances of the pairs near the radius, and reuses graph
+    objects exactly where :meth:`runs` does.
     """
 
     def __init__(self, radius: float, self_inclusive: bool = True):
