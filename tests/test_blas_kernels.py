@@ -17,8 +17,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 CORETYPES = ("Sandybridge", "Haswell")
 
 # One small config of each mode, each run with export into argv[2]/<mode>,
-# and a leaderless m = 500 run whose envelope scale, the norm of 500 speeds,
-# a BLAS dot product rounds differently under the SkylakeX kernel.
+# and a leaderless m = 500 run, whose envelope scale is the norm of 500
+# speeds: a BLAS dot product rounds it differently under the SkylakeX kernel.
 _SCRIPT = """
 import sys
 from pathlib import Path
