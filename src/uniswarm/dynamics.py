@@ -488,17 +488,20 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
     running sum, and then commits the block's instants in order.  One
     :class:`GraphSweep` takes them a chunk at a time (its ``runs``): the
     chunk's condensed distances, each pair's once, one finiteness check, and
-    one comparison that finds the first instant whose graph differs.  In
-    ``leader_dynamic`` runs the schedule is consulted once per committed
-    instant, in order, with the instant's state and the run's segment; the
-    run keeps the segment and the instants at which it switched, which it
-    returns as ``Trajectory.switch_log``.  At the first instant
+    one comparison that finds the first instant whose graph differs.  Both
+    leader modes follow a list of target headings, the schedule's in
+    ``leader_dynamic`` runs and ``[reference_heading]`` in
+    ``leader_constant`` runs; the run keeps its segment and the instants at
+    which it switched, which it returns as ``Trajectory.switch_log``.
+    Until the run reaches its last segment, the schedule is asked about
+    instant 0 and then once per committed run, for the first of the run's
+    instants below ``steps`` at which it switches.  At the first instant
     whose graph differs or at which the schedule switched, the loop keeps
     that instant, whose state the previous graph and reference determine,
     discards the rest of the block and continues from there.  So the
-    schedule sees each instant 0..steps-1 once, in order, and no switch is
-    ever undone.  The numbers are those of a loop that steps one instant at
-    a time.
+    schedule reads each instant 0..steps-1 once, in order, up to the one at
+    which the run reaches its last segment, and no switch is ever undone.
+    The numbers are those of a loop that steps one instant at a time.
 
     The convexity check (leaderless runs) and the integration oracle cover
     the kept steps only.  ``integration_check`` is one of off/sampled/full and
@@ -528,30 +531,33 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
     positions = np.empty((steps + 1, m, 2))
     headings = np.empty((steps + 1, m))
     speeds = np.empty((steps + 1, m))
-    references = np.full(steps, reference_heading if controller == LEADER_CONSTANT else np.nan)
+    references = np.full(steps, np.nan)
     positions[0] = state.positions
     headings[0] = state.headings
     speeds[0] = state.speeds
 
-    segment, switch_log = 0, []  # the schedule's segment, and the instants it switched at
+    targets = schedule.headings if controller == LEADER_DYNAMIC else [reference_heading]
+    segment, switch_log = 0, []  # the run's segment, and the instants it switched at
 
-    def switched(j: int) -> bool:
-        """Consults the schedule at the committed instant j, and switches."""
+    def switch(first: int, stop: int) -> int | None:
+        """Asks the schedule about the committed instants first..stop-1,
+        unless the run is at its last segment, and switches at the first
+        instant it names: that instant, or None."""
         nonlocal segment
-        instant = state.sample_index + j
-        if not schedule.maybe_advance(SwarmState(positions[j], headings[j], speeds[j], mask,
-                                                 instant), segment):
-            return False
+        if segment == len(targets) - 1:
+            return None
+        row = schedule.maybe_advance(headings[first:stop], mask, segment)
+        if row is None:
+            return None
         segment += 1
-        switch_log.append(int(instant))
-        return True
+        switch_log.append(int(state.sample_index + first + row))
+        return first + row
 
     sweep = GraphSweep(params.r_n, params.self_inclusive)
     graph, distances = next(sweep.runs(positions[:1]))
     if observer is not None:
         observer(graph, distances)
-    if controller == LEADER_DYNAMIC:
-        switched(0)
+    switch(0, 1)
 
     k, block = 0, _BLOCK_START
     while k < steps:
@@ -559,8 +565,7 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
         stop = min(k + block, steps)
         pull = None
         if controller != LEADERLESS:
-            if controller == LEADER_DYNAMIC:
-                references[k:stop] = schedule.headings[segment]
+            references[k:stop] = targets[segment]
             pull = _leader_pull(mask, references[k], params.v_n, params.vartheta)
         for s in range(k, stop):
             _discrete_step(graph, headings[s], speeds[s], headings[s + 1], speeds[s + 1], pull)
@@ -579,11 +584,8 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
                 # the graph changed at the run's first instant, the last that
                 # the previous graph determines
                 graph, ended, n = run_graph, True, 1
-            if controller == LEADER_DYNAMIC:
-                for j in range(kept + 1, min(kept + n + 1, steps)):
-                    if switched(j):
-                        n, ended = j - kept, True
-                        break
+            if (j := switch(kept + 1, min(kept + n + 1, steps))) is not None:
+                n, ended = j - kept, True
             if observer is not None:
                 observer(graph, distances[:n])
             kept += n

@@ -5,7 +5,9 @@ within the tracking error of it, then jumps to the next segment.  The jump
 magnitudes D_k are summable by construction (finite list).
 
 A schedule is configuration only: the run that follows it keeps its current
-segment and the instants at which it switched (see ``run_epoch``).
+segment and the instants at which it switched (see ``run_epoch``), and asks
+it about a block of successive instants at a time.  A constant reference is
+the one-segment schedule, which never switches.
 """
 
 from __future__ import annotations
@@ -43,16 +45,17 @@ class ReferenceSchedule:
     def total_variation(self) -> float:
         return float(self.jumps.sum())
 
-    def max_tracking_error(self, state, segment: int) -> float:
-        """The largest heading error over the trigger set against ``headings[segment]``."""
-        headings = state.headings
-        if self.restrict_to_followers and state.leader_mask.any():
-            headings = headings[~state.leader_mask]
-        return float(np.abs(headings - float(self.headings[segment])).max())
-
-    def maybe_advance(self, state, segment: int) -> bool:
-        """Whether a run at ``segment`` switches to the next segment at
-        ``state``: true when a next segment exists and the max heading error
-        over the trigger set is <= epsilon."""
-        return (segment < len(self.headings) - 1
-                and self.max_tracking_error(state, segment) <= self.epsilon)
+    def maybe_advance(self, headings: np.ndarray, leader_mask: np.ndarray,
+                      segment: int) -> int | None:
+        """The first row of the (n, m) block ``headings`` of successive
+        instants at which a run at ``segment`` switches to the next segment:
+        the first whose max heading error over the trigger set against the
+        segment's desired heading is <= epsilon.  None when no row does, when
+        there is no next segment, or when the block is empty."""
+        if segment >= len(self.headings) - 1 or not len(headings):
+            return None
+        if self.restrict_to_followers and leader_mask.any():
+            headings = headings[:, ~leader_mask]
+        errors = np.abs(headings - float(self.headings[segment])).max(axis=1)
+        rows = np.flatnonzero(errors <= self.epsilon)
+        return int(rows[0]) if len(rows) else None

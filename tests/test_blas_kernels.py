@@ -1,6 +1,7 @@
 """A run's bits do not depend on the BLAS kernel: the same configs, run in
 interpreters whose OpenBLAS takes different CPU kernels, write the same
-trajectory and audits byte for byte."""
+trajectory and audits byte for byte, and every ``metrics.csv`` column but
+``p_dev``, which comes from a BLAS Gram product and LAPACK's ``eigvalsh``."""
 
 import os
 import subprocess
@@ -59,6 +60,14 @@ def _core_taken(coretype: str | None) -> str | None:
     return cores[0] if cores else None
 
 
+def _metrics_columns(path: Path) -> dict:
+    """The text of each column of the ``metrics.csv`` at ``path``, by header
+    name, but ``p_dev``."""
+    header, *lines = path.read_text().splitlines()
+    columns = zip(*(line.split(",") for line in lines))
+    return {name: column for name, column in zip(header.split(","), columns) if name != "p_dev"}
+
+
 def test_outputs_are_byte_equal_under_each_blas_kernel(tmp_path):
     for coretype in CORETYPES:
         taken = _core_taken(coretype)
@@ -77,7 +86,14 @@ def test_outputs_are_byte_equal_under_each_blas_kernel(tmp_path):
     first, *others = kernels
     for other in others:
         for mode in ("leaderless", "leaderless_m500", "leader_constant", "leader_dynamic"):
-            for name in ("trajectory.npy", "audits.json"):
+            for name in ("trajectory.npy", "trajectory.csv", "audits.json"):
                 assert ((tmp_path / first / mode / name).read_bytes()
                         == (tmp_path / other / mode / name).read_bytes()), \
                     f"{mode}/{name} differs between the {first} and {other} kernels"
+            want = _metrics_columns(tmp_path / first / mode / "metrics.csv")
+            got = _metrics_columns(tmp_path / other / mode / "metrics.csv")
+            assert want.keys() == got.keys()
+            for column in want:
+                assert want[column] == got[column], \
+                    f"{mode}/metrics.csv column {column} differs between the {first} and " \
+                    f"{other} kernels"

@@ -48,7 +48,7 @@ def _oracle_run_epoch(state, params, steps, controller=LEADERLESS, schedule=None
                     raise ConvexityError(f"{label} envelope expanded during a leaderless step")
         else:
             if controller == LEADER_DYNAMIC:
-                if schedule.maybe_advance(current, segment):
+                if schedule.maybe_advance(current.headings[None], mask, segment) is not None:
                     segment += 1
                     switch_log.append(current.sample_index)
                 theta_bar = float(schedule.headings[segment])
@@ -74,19 +74,28 @@ def _oracle_run_epoch(state, params, steps, controller=LEADERLESS, schedule=None
 
 
 class _LoggedSchedule:
-    """Wraps a schedule, and logs each consultation as ("advance", instant,
-    switched) in ``events`` and the positions and the segment it was
-    consulted with in ``consulted``."""
+    """Wraps a schedule.  A consultation reads the rows of its block of
+    instants up to the one it switches at, or all of them; it is logged as
+    ("advance", instant, switched) in ``events``, one event per row read,
+    and as the rows read, the leader mask, the segment and whether it
+    switched in ``consulted``.  A row's instant counts on from the rows read
+    before, from instant 0; _run_both checks that the rows are the headings
+    of those instants."""
 
     def __init__(self, schedule, events):
         self.headings = schedule.headings
         self.schedule, self.events, self.consulted = schedule, events, []
+        self.instants = 0
 
-    def maybe_advance(self, state, segment):
-        self.consulted.append((state.positions.copy(), segment))
-        switched = self.schedule.maybe_advance(state, segment)
-        self.events.append(("advance", int(state.sample_index), switched))
-        return switched
+    def maybe_advance(self, headings, leader_mask, segment):
+        row = self.schedule.maybe_advance(headings, leader_mask, segment)
+        read = len(headings) if row is None else row + 1
+        self.consulted.append((headings[:read].copy(), leader_mask.copy(), segment,
+                               row is not None))
+        for j in range(read):
+            self.events.append(("advance", self.instants + j, j == row))
+        self.instants += read
+        return row
 
 
 def _instant_log():
@@ -173,16 +182,22 @@ def _run_both(params, steps, seed, controller=LEADERLESS, headings=None, epsilon
     assert reused == [a[0] is b[0] for a, b in zip(want_seen[1:], want_seen[:-1])]
     assert [connectivity(g) for g, _, _ in seen] == want["connected"].tolist()
     if logged is not None:
-        # the schedule saw each instant once, in order, with its positions; the
-        # segment never moved back, and moved on by one exactly where the
-        # schedule switched, at the instants of the log
+        # the schedule read each instant once, in order, with its headings and
+        # the run's leader mask, up to the instant at which the run reached its
+        # last segment, or to steps - 1; the segment started at 0, never moved
+        # back, and moved on by one exactly where the schedule switched, at the
+        # instants of the log
         advances = [e for e in events if e[0] == "advance"]
-        assert [instant for _, instant, _ in advances] == list(range(steps))
         consulted = logged.consulted
-        assert all(np.array_equal(x, traj.positions[j]) for j, (x, _) in enumerate(consulted))
-        segments = [segment for _, segment in consulted]
-        switched = [int(s) for _, _, s in advances]
-        assert segments[0] == 0
+        rows = np.concatenate([block for block, *_ in consulted])
+        last = len(schedule.headings) - 1
+        reached = len(traj.switch_log) == last
+        assert len(rows) == len(advances) == (traj.switch_log[-1] + 1 if reached else steps)
+        assert np.array_equal(rows, traj.headings[:len(rows)])
+        assert all(np.array_equal(mask, traj.leader_mask) for _, mask, _, _ in consulted)
+        segments = [segment for _, _, segment, _ in consulted]
+        switched = [int(s) for *_, s in consulted]
+        assert segments[0] == 0 and max(segments) < last
         assert all(b == a + s for a, b, s in zip(segments, segments[1:], switched))
         assert len(traj.switch_log) == segments[-1] + switched[-1]
         assert traj.switch_log == [instant for _, instant, s in advances if s]

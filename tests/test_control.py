@@ -127,7 +127,8 @@ def test_leader_control_tracks_schedule_switches():
     schedule = ReferenceSchedule(headings=[0.0, np.pi / 2], epsilon=0.05)
     sig0 = leader_control(1, state, g, TAU, 1.0, schedule.headings[0], 0.0)
     assert sig0.omega == 0.0
-    assert schedule.maybe_advance(state, 0)  # all headings at 0 = the segment's reference
+    # all headings at 0 = the segment's reference
+    assert schedule.maybe_advance(state.headings[None], state.leader_mask, 0) == 0
     sig1 = leader_control(1, state, g, TAU, 1.0, schedule.headings[1], 0.0)
     assert sig1.omega == pytest.approx((np.pi / 2) / TAU, rel=1e-14)
 
