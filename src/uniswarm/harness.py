@@ -81,6 +81,9 @@ class RunConfig:
         if self.mode == LEADER_DYNAMIC and self.schedule is None:
             raise ValueError("dynamic mode requires a schedule")
         _validate_run_fields(self.params, self.steps, self.mode, self.reference_heading)
+        if self.mode != LEADER_DYNAMIC and self.schedule is not None:
+            raise ValueError(f"schedule is read only in mode {LEADER_DYNAMIC!r}, got mode "
+                             f"{self.mode!r}")
         if self.audit_level not in AUDIT_LEVELS:
             raise ValueError(f"audit_level must be one of {AUDIT_LEVELS}")
         _require_seed(self.seed)

@@ -228,6 +228,22 @@ def test_schedule_field_of_wrong_type_exits_2(tmp_path, capsys, field, value, na
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("mode", ["leaderless", "leader_constant"])
+@pytest.mark.parametrize("command", [["run"], ["check"], ["campaign", "--seeds", "0..1"]])
+def test_schedule_outside_leader_dynamic_exits_2(tmp_path, capsys, mode, command):
+    # a schedule that the run would not follow is an error, not silently ignored
+    config = {**_leader_dynamic_config(), "mode": mode,
+              "schedule": {"headings": [1.0, 2.0], "epsilon": 10}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = [] if command == ["check"] else ["--out", str(tmp_path / "out")]
+    assert main([command[0], "--config", str(path), *command[1:], *out]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == (f"config error: schedule is read only in mode 'leader_dynamic', "
+                            f"got mode {mode!r}\n")
+    assert captured.out == "" and not (tmp_path / "out").exists()
+
+
 # every field of a config: each parameter, each field of the schedule and the
 # obstacle, and each top-level field
 _FIELDS = ([("params", name) for name in _leader_dynamic_config()["params"]]

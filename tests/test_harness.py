@@ -39,6 +39,12 @@ def test_config_validation():
     cfg.mode = LEADER_CONSTANT
     with pytest.raises(ValueError, match="alpha_n"):
         cfg.validate()
+    for mode in (LEADERLESS, LEADER_CONSTANT):
+        cfg = _leaderless_config()
+        cfg.params.alpha_n, cfg.mode = 0.3, mode
+        cfg.schedule = ReferenceSchedule(headings=[1.0, 2.0], epsilon=10)
+        with pytest.raises(ValueError, match=f"schedule .* got mode '{mode}'"):
+            cfg.validate()
     cfg = _leaderless_config()
     cfg.audit_level = "loud"
     with pytest.raises(ValueError, match="audit_level"):
