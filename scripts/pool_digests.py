@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Digests of the benchmark's pool runs, to show that a change left every output as it was.
 
-Runs seeds 0-7 of three configs, one run at a time and each written to a
-fresh directory: the leaderless m=500 config, the fig3 scenario and the
-acceptance-criterion-8 leader campaign config (m=130, 1000 steps).  It
+Runs seeds 0-7 of four configs, one run at a time and each written to a
+fresh directory: the leaderless m=500 config, the fig3 scenario, the
+acceptance-criterion-8 leader campaign config (m=130, 1000 steps) and a
+sparse leader config without self loops (m=72, 500 steps), whose graphs
+hold agents without neighbors (seeds 0 and 2 start with 3 and 4), so that
+the averaging rule for an agent of degree 0 is exercised too.  It
 prints one JSON object holding, per config and seed, the sha256 of
 ``trajectory.csv``, ``trajectory.npy``, ``metrics.csv``, ``audits.json`` and
 ``run_meta.json`` (the last without its ``wallclock`` entry), the sha256 of
@@ -60,8 +63,15 @@ def _criterion8(seed: int) -> RunConfig:
                      reference_heading=np.pi / 4, audit_level="sampled")
 
 
+def _isolated(seed: int) -> RunConfig:
+    params = ModelParams(n=60, alpha_n=0.2, r_n=0.12, v_n=0.1, tau_n=0.01, vartheta=0.5,
+                         self_inclusive=False)
+    return RunConfig(params=params, steps=500, seed=seed, mode=LEADER_CONSTANT,
+                     reference_heading=np.pi / 4, audit_level="sampled")
+
+
 CONFIGS = {"leaderless_m500": _m500, "fig3": lambda seed: scenario_fig3(seed=seed),
-           "criterion8": _criterion8}
+           "criterion8": _criterion8, "isolated": _isolated}
 
 
 def _sha256(data: bytes) -> str:

@@ -13,8 +13,8 @@ from .graphs import (GraphSweep, ProximityGraph, SpectralSummary, averaging_matr
 from .harness import (CampaignSummary, ConfigError, Obstacle, RunConfig, RunResult,
                       campaign, load_trajectory, run, scenario_fig3)
 from .metrics import (EnvelopeAuditReport, MetricsBaseline, RecursionAuditReport, RunPass,
-                      StepMetrics, geometric_envelope_audit, metrics_baseline, recursion_audit,
-                      ring_containment_check, step_metrics, sync_detect)
+                      StepMetrics, StepMetricsTable, geometric_envelope_audit, metrics_baseline,
+                      recursion_audit, ring_containment_check, step_metrics, sync_detect)
 from .reference import ReferenceSchedule
 
 __version__ = "0.1.0"

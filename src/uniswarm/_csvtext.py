@@ -263,6 +263,10 @@ def csv_blocks(instant_columns: list[np.ndarray], agents: np.ndarray,
     heads = sum(int(np.prod(c.shape[1:])) for c in instant_columns)
     cells = sum(int(np.prod(c.shape[2:])) for c in agent_columns)
     per_block = max(1, _BLOCK_VALUES // (m * cells))
+    # the instant columns' text, formatted in blocks of up to _BLOCK_VALUES
+    # values of their own, a whole number of row blocks each
+    per_text = per_block * max(1, _BLOCK_VALUES // (per_block * max(heads, 1)))
+    texts = np.empty((min(per_text, instants), heads, FIELD), dtype=np.uint8)
     rows = np.empty((min(per_block, instants), m, (heads + cells) * (FIELD + 1) + agents.shape[1]),
                     dtype=np.uint8)
     start = heads * (FIELD + 1)
@@ -274,9 +278,11 @@ def csv_blocks(instant_columns: list[np.ndarray], agents: np.ndarray,
     for k in range(0, instants, per_block):
         b = min(per_block, instants - k)
         if heads:
-            g17_fields(np.column_stack([c[k:k + b] for c in instant_columns]),
-                       head[:b, 0, :, :FIELD])
-            head[:b, 1:] = head[:b, :1]
+            t = k % per_text
+            if not t:
+                n = min(per_text, instants - k)
+                g17_fields(np.column_stack([c[k:k + n] for c in instant_columns]), texts[:n])
+            head[:b, ..., :FIELD] = texts[t:t + b, None]
         g17_fields(np.concatenate([c[k:k + b].reshape(b, m, -1) for c in agent_columns], axis=2),
                    body[:b, ..., :FIELD])
         yield rows[:b].tobytes().translate(None, b"\0")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import GraphSweep, ProximityGraph, neighbor_sums
+from .graphs import GraphSweep, ProximityGraph
 from .graphs import build_graph, connectivity  # noqa: F401  (wrapped by perfbench/tracing.py)
 
 STRICT_ETA_MAX = 1.0 / 512.0
@@ -186,41 +186,44 @@ def sample_initial(params: ModelParams, seed: int) -> SwarmState:
                       leader_mask=leader_mask, sample_index=0)
 
 
-def _neighbor_average(values: np.ndarray, graph: ProximityGraph,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """The neighbor mean of ``values`` per agent, written to ``out`` when
-    given: the sum of :func:`~uniswarm.graphs.neighbor_sums`, in its fixed
-    order, divided by the agent's degree.  An agent without neighbors, which
-    only a graph without self loops has, holds its value."""
-    out = neighbor_sums(graph, values, out)
-    out /= graph.divisors
-    if not graph.self_inclusive:
-        np.copyto(out, values, where=graph.degrees == 0)
-    return out
-
-
 def _leader_pull(leader_mask: np.ndarray, reference_heading: float, reference_speed: float,
-                 vartheta: float) -> tuple:
-    """The ``pull`` of :func:`_discrete_step`: the leaders' indices, the
-    reference terms vartheta * reference, and the weight 1 - vartheta."""
-    return (np.flatnonzero(leader_mask), vartheta * reference_heading,
-            vartheta * reference_speed, 1.0 - vartheta)
+                 vartheta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ``pull`` of :func:`_discrete_step`: ``keep`` and ``negated_terms``,
+    two (2m,) vectors over the headings and then the speeds.  At the
+    leaders they hold 1 - vartheta and -vartheta * reference, at the
+    followers 1.0 and 0.0, which leave every value as it is, -0.0 included:
+    x * 1.0 - 0.0 is x."""
+    leader_mask = np.asarray(leader_mask, dtype=bool)
+    keep = np.where(leader_mask, 1.0 - vartheta, 1.0)
+    negated_terms = np.zeros((2, len(leader_mask)))
+    negated_terms[0, leader_mask] = -(vartheta * reference_heading)
+    negated_terms[1, leader_mask] = -(vartheta * reference_speed)
+    return np.concatenate((keep, keep)), negated_terms.reshape(-1)
 
 
-def _discrete_step(graph: ProximityGraph, headings: np.ndarray, speeds: np.ndarray,
-                   new_headings: np.ndarray | None = None, new_speeds: np.ndarray | None = None,
-                   pull: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """One step of the averaging map on ``graph``, written to ``new_headings``
-    and ``new_speeds`` when given.  ``pull``, for leader runs, comes from
-    :func:`_leader_pull`: leaders mix the reference with their neighbor mean
-    via weight vartheta."""
-    new_headings = _neighbor_average(headings, graph, new_headings)
-    new_speeds = _neighbor_average(speeds, graph, new_speeds)
+def _discrete_step(graph: ProximityGraph, values: np.ndarray, out: np.ndarray | None = None,
+                   pull: tuple | None = None) -> np.ndarray:
+    """One step of the averaging map on ``graph`` for the (2m,) ``values``,
+    an instant's m headings followed by its m speeds, written to ``out``
+    when given.
+
+    Each half's neighbor sums are those of :func:`~uniswarm.graphs.neighbor_sums`,
+    in its fixed order, taken for both halves by one gather and one
+    ``np.add.reduceat`` over ``graph.stacked_lists``, and then divided by the
+    agent's degree.  An agent without neighbors, which only a graph without
+    self loops has, is its own one neighbor there, so it holds its value.
+    ``pull``, for leader runs, comes from :func:`_leader_pull`: leaders mix
+    the reference with their neighbor mean via weight vartheta.  a - (-t) is
+    a + t in IEEE arithmetic, so that is keep * mean + vartheta * reference
+    bit for bit."""
+    columns, starts, divisors = graph.stacked_lists
+    out = np.add.reduceat(values[columns], starts, out=out)
+    out /= divisors
     if pull is not None:
-        leaders, heading_term, speed_term, keep = pull
-        new_headings[leaders] = keep * new_headings[leaders] + heading_term
-        new_speeds[leaders] = keep * new_speeds[leaders] + speed_term
-    return new_headings, new_speeds
+        keep, negated_terms = pull
+        out *= keep
+        out -= negated_terms
+    return out
 
 
 def _require_leaders(leader_mask: np.ndarray) -> None:
@@ -228,27 +231,31 @@ def _require_leaders(leader_mask: np.ndarray) -> None:
         raise ValueError("a leader controller requires at least one leader")
 
 
+def _stepped(state: SwarmState, pull: tuple | None, graph: ProximityGraph) -> SwarmState:
+    """The state after ``state`` on ``graph``: its headings and speeds
+    stepped by :func:`_discrete_step` with ``pull``; positions are not
+    advanced."""
+    values = _discrete_step(graph, np.concatenate((state.headings, state.speeds)), pull=pull)
+    m = state.n_agents
+    return SwarmState(positions=state.positions, headings=values[:m], speeds=values[m:],
+                      leader_mask=state.leader_mask, sample_index=state.sample_index + 1)
+
+
 def leaderless_discrete_step(state: SwarmState, graph: ProximityGraph) -> SwarmState:
     """theta(t_{k+1}) = P theta(t_k), v(t_{k+1}) = P v(t_k).
 
     Positions are not advanced here; see :func:`advance_positions`.
     """
-    headings, speeds = _discrete_step(graph, state.headings, state.speeds)
-    return SwarmState(positions=state.positions, headings=headings, speeds=speeds,
-                      leader_mask=state.leader_mask, sample_index=state.sample_index + 1)
+    return _stepped(state, None, graph)
 
 
 def leader_discrete_step(state: SwarmState, graph: ProximityGraph, reference_heading: float,
                          reference_speed: float, vartheta: float) -> SwarmState:
     """Followers average neighbors; leaders mix the reference with the
     neighbor average via weight vartheta."""
-    mask = state.leader_mask
-    _require_leaders(mask)
-    headings, speeds = _discrete_step(graph, state.headings, state.speeds,
-                                      pull=_leader_pull(mask, reference_heading, reference_speed,
-                                                        vartheta))
-    return SwarmState(positions=state.positions, headings=headings, speeds=speeds,
-                      leader_mask=mask, sample_index=state.sample_index + 1)
+    _require_leaders(state.leader_mask)
+    return _stepped(state, _leader_pull(state.leader_mask, reference_heading, reference_speed,
+                                        vartheta), graph)
 
 
 def interpolate(state_k: SwarmState, state_k1: SwarmState, s: float) -> tuple[np.ndarray, np.ndarray]:
@@ -285,8 +292,9 @@ def _weighted_trig_integrals(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p2 = phi * phi
     a_series = 0.5 - p2 / 8.0 + p2 * p2 / 144.0 - p2 * p2 * p2 / 5760.0
     b_series = phi * (1.0 / 3.0 - p2 / 30.0 + p2 * p2 / 840.0 - p2 * p2 * p2 / 45360.0)
-    a_exact = np.sin(safe) / safe + (np.cos(safe) - 1.0) / (safe * safe)
-    b_exact = -np.cos(safe) / safe + np.sin(safe) / (safe * safe)
+    sin, cos, square = np.sin(safe), np.cos(safe), safe * safe
+    a_exact = sin / safe + (cos - 1.0) / square
+    b_exact = -cos / safe + sin / square
     return np.where(small, a_series, a_exact), np.where(small, b_series, b_exact)
 
 
@@ -302,8 +310,9 @@ def closed_form_displacement(a, b, c, d, tau):
     i0 = np.cos(half) * sinc_half
     j0 = np.sin(half) * sinc_half
     wa, wb = _weighted_trig_integrals(phi)
-    i1 = np.cos(c) * wa - np.sin(c) * wb
-    j1 = np.sin(c) * wa + np.cos(c) * wb
+    sin_c, cos_c = np.sin(c), np.cos(c)
+    i1 = cos_c * wa - sin_c * wb
+    j1 = sin_c * wa + cos_c * wb
     tau2 = tau * tau
     return a * tau * i0 + b * tau2 * i1, a * tau * j0 + b * tau2 * j1
 
@@ -432,8 +441,9 @@ class Trajectory:
 
     times: np.ndarray  # (K+1,)
     positions: np.ndarray  # (K+1, m, 2)
-    headings: np.ndarray  # (K+1, m)
-    speeds: np.ndarray  # (K+1, m)
+    # (K+1, m) each; run_epoch gives the two planes of one (K+1, 2, m) array
+    headings: np.ndarray
+    speeds: np.ndarray
     leader_mask: np.ndarray  # (m,)
     params: ModelParams
     controller: str
@@ -475,6 +485,14 @@ def _first_expansion(headings: np.ndarray, speeds: np.ndarray) -> tuple[int, str
     return step, "heading" if heading[step] else "speed"
 
 
+def _require_no_schedule(controller: str, schedule) -> None:
+    """Raises ValueError when a schedule comes with a controller other than
+    leader_dynamic, which alone reads it."""
+    if controller != LEADER_DYNAMIC and schedule is not None:
+        raise ValueError(f"schedule is read only in mode {LEADER_DYNAMIC!r}, got mode "
+                         f"{controller!r}")
+
+
 def run_epoch(state: SwarmState, params: ModelParams, steps: int,
               controller: str = LEADERLESS, schedule=None, reference_heading: float = 0.0,
               integration_check: str = "sampled", observer=None) -> Trajectory:
@@ -491,8 +509,9 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
     one comparison that finds the first instant whose graph differs.  Both
     leader modes follow a list of target headings, the schedule's in
     ``leader_dynamic`` runs and ``[reference_heading]`` in
-    ``leader_constant`` runs; the run keeps its segment and the instants at
-    which it switched, which it returns as ``Trajectory.switch_log``.
+    ``leader_constant`` runs, which, like leaderless ones, take no schedule
+    (ValueError); the run keeps its segment and the instants at which it
+    switched, which it returns as ``Trajectory.switch_log``.
     Until the run reaches its last segment, the schedule is asked about
     instant 0 and then once per committed run, for the first of the run's
     instants below ``steps`` at which it switches.  At the first instant
@@ -520,6 +539,7 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
         raise ValueError(f"unknown controller {controller!r}")
     if controller == LEADER_DYNAMIC and schedule is None:
         raise ValueError("dynamic controller requires a reference schedule")
+    _require_no_schedule(controller, schedule)
     if integration_check not in ("off", "sampled", "full"):
         raise ValueError(f"unknown integration_check {integration_check!r}")
 
@@ -529,8 +549,10 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
     if controller != LEADERLESS:
         _require_leaders(mask)
     positions = np.empty((steps + 1, m, 2))
-    headings = np.empty((steps + 1, m))
-    speeds = np.empty((steps + 1, m))
+    # each instant's headings and speeds as one (2, m) row, stepped as one
+    # flat (2m,) vector
+    values = np.empty((steps + 1, 2, m))
+    headings, speeds, rows = values[:, 0], values[:, 1], values.reshape(steps + 1, 2 * m)
     references = np.full(steps, np.nan)
     positions[0] = state.positions
     headings[0] = state.headings
@@ -568,7 +590,7 @@ def run_epoch(state: SwarmState, params: ModelParams, steps: int,
             references[k:stop] = targets[segment]
             pull = _leader_pull(mask, references[k], params.v_n, params.vartheta)
         for s in range(k, stop):
-            _discrete_step(graph, headings[s], speeds[s], headings[s + 1], speeds[s + 1], pull)
+            _discrete_step(graph, rows[s], rows[s + 1], pull)
         expansion = (_first_expansion(headings[k:stop + 1], speeds[k:stop + 1])
                      if controller == LEADERLESS else None)
         if expansion is not None:

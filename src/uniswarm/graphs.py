@@ -62,6 +62,25 @@ class ProximityGraph:
         m = self.node_count
         return self.edges % m, np.searchsorted(self.edges, np.arange(m) * m)
 
+    @cached_property
+    def stacked_lists(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:attr:`neighbor_lists` and :attr:`divisors` laid out twice, for the
+        neighbor means of two (m,) vectors stacked into one flat (2m,) vector:
+        ``columns``, ``starts`` and ``divisors``, the second copy's
+        ``columns`` shifted by m and its ``starts`` by the length of the
+        first copy's ``columns``.  A node without neighbors, which only a
+        graph without self loops has, is listed here as its own one
+        neighbor, so that no row is empty and its mean is its own value.
+        Built on first use and kept with the graph."""
+        columns, starts = self.neighbor_lists
+        held = self.degrees == 0
+        if held.any():
+            columns = np.insert(columns, starts[held], np.flatnonzero(held))
+            starts = starts + np.cumsum(held) - held
+        m, n = self.node_count, len(columns)
+        return (np.concatenate((columns, columns + m)), np.concatenate((starts, starts + n)),
+                np.tile(self.divisors, 2))
+
 
 @dataclass(frozen=True)
 class SpectralSummary:
@@ -261,8 +280,10 @@ def build_graph(positions: np.ndarray, radius: float, self_inclusive: bool = Tru
     positions = _checked_positions(positions)
     adjacency = pairwise_distances(positions) < _checked_radius(radius)
     np.fill_diagonal(adjacency, self_inclusive)
-    return ProximityGraph(radius=float(radius), node_count=len(positions),
-                          edges=np.flatnonzero(adjacency), self_inclusive=self_inclusive)
+    graph = ProximityGraph(radius=float(radius), node_count=len(positions),
+                           edges=np.flatnonzero(adjacency), self_inclusive=self_inclusive)
+    graph.__dict__["adjacency"] = adjacency  # the matrix its edges came from, kept as the cache
+    return graph
 
 
 def _condensed_pairs(k: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -492,8 +513,9 @@ def neighbor_sums(graph: ProximityGraph, values: np.ndarray,
     """The sum of the float ``values`` over each node's neighbors, written to
     ``out`` when given; 0 for a node without neighbors.
 
-    Every neighborhood sum of the library is taken here, in one fixed
-    order: a row's neighbors in index order, added by ``np.add.reduceat``.
+    Every neighborhood sum of the library is taken in one fixed order: a
+    row's neighbors in index order, added by ``np.add.reduceat``, here or,
+    for the averaging step, over :attr:`ProximityGraph.stacked_lists`.
     No BLAS product is involved, so the bits of a run do not depend on the
     BLAS build or on the CPU's kernel (the principle of Demmel and Nguyen,
     "Fast Reproducible Floating-Point Summation", ARITH 21, 2013).

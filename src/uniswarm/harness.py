@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (CONTROLLERS, LEADER_CONSTANT, LEADER_DYNAMIC, LEADERLESS,
-                       ModelParams, Trajectory, _require_finite, _require_integer, run_epoch,
-                       sample_initial)
-from .metrics import (FAIL, EnvelopeAuditReport, RecursionAuditReport, RunPass, StepMetrics,
-                      sync_detect, write_metrics_csv)
+                       ModelParams, Trajectory, _require_finite, _require_integer,
+                       _require_no_schedule, run_epoch, sample_initial)
+from .metrics import (FAIL, EnvelopeAuditReport, RecursionAuditReport, RunPass,
+                      StepMetricsTable, sync_detect, write_metrics_csv)
 # layer boundaries that perfbench/tracing.py wraps; run() computes their
 # results in its one pass over the instants
 from .graphs import build_graph  # noqa: F401
@@ -81,9 +81,7 @@ class RunConfig:
         if self.mode == LEADER_DYNAMIC and self.schedule is None:
             raise ValueError("dynamic mode requires a schedule")
         _validate_run_fields(self.params, self.steps, self.mode, self.reference_heading)
-        if self.mode != LEADER_DYNAMIC and self.schedule is not None:
-            raise ValueError(f"schedule is read only in mode {LEADER_DYNAMIC!r}, got mode "
-                             f"{self.mode!r}")
+        _require_no_schedule(self.mode, self.schedule)
         if self.audit_level not in AUDIT_LEVELS:
             raise ValueError(f"audit_level must be one of {AUDIT_LEVELS}")
         _require_seed(self.seed)
@@ -216,7 +214,7 @@ def _validate_switch_log(switch_log, steps: int, mode: str) -> None:
 class RunResult:
     config: RunConfig
     trajectory: Trajectory
-    metrics: list[StepMetrics]
+    metrics: StepMetricsTable
     recursion: RecursionAuditReport | None
     envelope: EnvelopeAuditReport | None
     sync_index: int | None
@@ -597,7 +595,7 @@ def campaign(base: RunConfig, seeds: list[int], out_dir: str | Path | None = Non
             "final_tracking_theta": None if np.isnan(final.tracking_theta)
             else final.tracking_theta,
             "final_tracking_v": None if np.isnan(final.tracking_v) else final.tracking_v,
-            "connected_all": all(row.connected for row in result.metrics),
+            "connected_all": bool(result.metrics.columns["connected"].all()),
             "switch_log": result.trajectory.switch_log,
         }
         if result.recursion is not None:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,6 +37,41 @@ class StepMetrics:
     p_deviation: float  # ||P(t_k) - P(0)||
     alpha_drift: float  # max |alpha_i(t_k) - alpha_i(0)|; 0 without leaders
     connected: bool
+
+
+class StepMetricsTable(Sequence):
+    """The :class:`StepMetrics` rows of a run's instants, held as columns:
+    ``columns`` maps each field name, in field order, to a (K+1,) array.
+
+    The table is a sequence of rows, each built only when read, with the
+    field types of a row (``k`` an int, ``connected`` a bool and the other
+    fields floats); a slice is a list of rows, and ``repr`` and ``==`` are
+    those of the list of all rows."""
+
+    _FIELDS = tuple(f.name for f in fields(StepMetrics))
+
+    def __init__(self, columns: dict[str, np.ndarray]):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns["k"])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]  # negative from the end; IndexError out of range
+        return StepMetrics(*(self.columns[name][i].item() for name in self._FIELDS))
+
+    def __iter__(self):
+        return map(StepMetrics, *(self.columns[name].tolist() for name in self._FIELDS))
+
+    def __eq__(self, other):
+        if not isinstance(other, (StepMetricsTable, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 @dataclass(frozen=True)
@@ -497,16 +533,17 @@ class RunPass:
         self._alpha_drift += [alpha_drift] * n
         self.connected += [connected] * n
 
-    def step_metrics(self, traj: Trajectory) -> list[StepMetrics]:
+    def step_metrics(self, traj: Trajectory) -> StepMetricsTable:
         """One row per instant; instant k > 0 is tracked against the reference
         used over the interval before it, instant 0 against the first."""
         steps = traj.n_steps
         previous = np.clip(np.arange(steps + 1) - 1, 0, steps - 1)
-        columns = _sync_columns(traj.headings, traj.speeds, traj.reference_headings[previous],
-                                np.full(steps + 1, traj.reference_speed))
-        return [StepMetrics(k, *row) for k, row in enumerate(zip(
-            *(c.tolist() for c in columns), self._drift, self._p_deviation, self._alpha_drift,
-            self.connected))]
+        columns = (np.arange(steps + 1),
+                   *_sync_columns(traj.headings, traj.speeds, traj.reference_headings[previous],
+                                  np.full(steps + 1, traj.reference_speed)),
+                   np.array(self._drift), np.array(self._p_deviation),
+                   np.array(self._alpha_drift), np.array(self.connected, dtype=bool))
+        return StepMetricsTable(dict(zip(StepMetricsTable._FIELDS, columns)))
 
     def recursion_audit(self, traj: Trajectory, substep_count: int = 16) -> RecursionAuditReport:
         return _recursion_audit(traj, substep_count, lambda: np.array(self._distance_change))
@@ -559,7 +596,10 @@ _CSV_COLUMNS = ("k", "delta_theta", "delta_v", "tracking_theta", "tracking_v",
                 "max_distance_drift", "p_deviation", "alpha_drift", "connected")
 
 
-def write_metrics_csv(rows: list[StepMetrics], path) -> None:
+def write_metrics_csv(rows: Sequence[StepMetrics], path) -> None:
+    """Writes ``rows``, a :class:`StepMetricsTable` or any sequence of
+    :class:`StepMetrics`, one line per row; a table's columns are read as
+    they are."""
     from ._csvtext import csv_blocks, text_fields
 
     # every column is written as a float: the '%.17g' of k is k's own text,
@@ -567,7 +607,8 @@ def write_metrics_csv(rows: list[StepMetrics], path) -> None:
     # of row tuples would hold about twice the array's memory in objects.
     values = np.empty((len(rows), 1, len(_CSV_COLUMNS)))
     for j, name in enumerate(_CSV_COLUMNS):
-        values[:, 0, j] = np.fromiter((getattr(r, name) for r in rows), float, len(rows))
+        values[:, 0, j] = (rows.columns[name] if isinstance(rows, StepMetricsTable) else
+                           np.fromiter((getattr(r, name) for r in rows), float, len(rows)))
     with open(path, "wb") as fh:
         fh.write(b"k,delta_theta,delta_v,tracking_theta,tracking_v,drift,p_dev,alpha_drift,"
                  b"connected\n")

@@ -315,29 +315,32 @@ def test_closed_form_displacement_rows_equal_whole_block(B, m):
         assert np.array_equal(dx[i], rx) and np.array_equal(dy[i], ry)
 
 
-def _expanding_average(trigger):
+_PLANES = {"heading": 0, "speed": 1}
+
+
+def _expanding_step(trigger, label):
     """The averaging kernel, except that call number ``trigger`` pushes agent
-    0 one unit above the envelope of its input."""
-    original = dynamics._neighbor_average
+    0 of the ``label`` plane, the first or second half of the kernel's (2m,)
+    vectors, one unit above the envelope of its input."""
+    original, plane = dynamics._discrete_step, _PLANES[label]
     calls = [0]
 
-    def average(values, graph, out=None):
-        out = original(values, graph, out)
+    def step(graph, values, out=None, pull=None):
+        out = original(graph, values, out, pull)
         if calls[0] == trigger:
-            out[0] = values.max() + 1.0
+            out.reshape(2, -1)[plane, 0] = values.reshape(2, -1)[plane].max() + 1.0
         calls[0] += 1
         return out
-    return average
+    return step
 
 
 # a complete graph that never changes: blocks of 8, 16, 32 cover steps 0-7, 8-23, 24-55,
-# and the kernel is called for headings then speeds, once per step
+# and the kernel is called for headings and speeds together, once per step
 @pytest.mark.parametrize("step", [0, 3, 7, 8, 15, 23, 24, 40, 55])
 @pytest.mark.parametrize("label", ["heading", "speed"])
 def test_convexity_guard_raises_at_any_position_in_a_block(monkeypatch, step, label):
     p = ModelParams(n=10, r_n=2.0, v_n=0.2, tau_n=0.01)
-    monkeypatch.setattr(dynamics, "_neighbor_average",
-                        _expanding_average(2 * step + (label == "speed")))
+    monkeypatch.setattr(dynamics, "_discrete_step", _expanding_step(step, label))
     seen, observe = _instant_log()
     with pytest.raises(ConvexityError, match=f"{label} envelope expanded"):
         run_epoch(sample_initial(p, 0), p, 80, observer=observe)
@@ -347,24 +350,25 @@ def test_convexity_guard_raises_at_any_position_in_a_block(monkeypatch, step, la
 
 @pytest.mark.parametrize("spread", [0.1, 0.05, 0.02, 0.01])
 def test_convexity_guard_with_changing_graph(monkeypatch, spread):
-    """The kernel expands the envelope of any input whose spread is below
-    ``spread``, in steps that are later discarded too; the error comes at the
-    first instant whose kept headings or speeds trigger it."""
+    """The kernel expands the envelope of any input plane whose spread is
+    below ``spread``, in steps that are later discarded too; the error comes
+    at the first instant whose kept headings or speeds trigger it."""
     p = ModelParams(n=25, r_n=0.4, v_n=0.5, tau_n=0.02)
     state = sample_initial(p, 5)
     traj = run_epoch(state, p, 300)
     spread_h, spread_v = (np.ptp(x, axis=1) for x in (traj.headings, traj.speeds))
     step = int(np.flatnonzero((spread_h < spread) | (spread_v < spread))[0])
     label = "heading" if spread_h[step] < spread else "speed"
-    original = dynamics._neighbor_average
+    original = dynamics._discrete_step
 
-    def average(values, graph, out=None):
-        out = original(values, graph, out)
-        if values.max() - values.min() < spread:
-            out[0] = values.max() + 1.0
+    def expanding(graph, values, out=None, pull=None):
+        out = original(graph, values, out, pull)
+        for old, new in zip(values.reshape(2, -1), out.reshape(2, -1)):
+            if old.max() - old.min() < spread:
+                new[0] = old.max() + 1.0
         return out
 
-    monkeypatch.setattr(dynamics, "_neighbor_average", average)
+    monkeypatch.setattr(dynamics, "_discrete_step", expanding)
     seen, observe = _instant_log()
     with pytest.raises(ConvexityError, match=f"{label} envelope expanded"):
         run_epoch(state, p, 300, observer=observe)

@@ -3,14 +3,16 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from uniswarm import (LEADER_DYNAMIC, LEADERLESS, ModelParams, advance_positions,
-                      build_graph, closed_form_displacement, dynamics, interpolate,
-                      leader_discrete_step, leaderless_discrete_step, run_epoch,
-                      sample_initial)
+from uniswarm import (LEADER_CONSTANT, LEADER_DYNAMIC, LEADERLESS, ModelParams,
+                      ReferenceSchedule, RunConfig, advance_positions, build_graph,
+                      closed_form_displacement, dynamics, interpolate, leader_discrete_step,
+                      leaderless_discrete_step, run_epoch, sample_initial)
 from uniswarm.dynamics import SwarmState, integrate_position_oracle
+from uniswarm.graphs import neighbor_sums
 
 from conftest import held_average_oracle, make_state
 
@@ -309,6 +311,18 @@ def test_run_epoch_dynamic_requires_schedule(small_params):
         run_epoch(state, small_params, 5, controller=LEADER_DYNAMIC)
 
 
+@pytest.mark.parametrize("controller", [LEADERLESS, LEADER_CONSTANT])
+def test_run_epoch_rejects_a_schedule_outside_leader_dynamic(controller):
+    p = ModelParams(n=10, alpha_n=0.2, r_n=0.5, v_n=0.1, tau_n=0.01)
+    schedule = ReferenceSchedule(headings=[1.0, 2.0], epsilon=10.0)
+    with pytest.raises(ValueError) as from_config:
+        RunConfig(params=p, steps=10, seed=0, mode=controller, schedule=schedule).validate()
+    with pytest.raises(ValueError) as raised:
+        run_epoch(sample_initial(p, 0), p, 10, controller=controller, schedule=schedule)
+    assert str(raised.value) == str(from_config.value) == (
+        f"schedule is read only in mode 'leader_dynamic', got mode {controller!r}")
+
+
 def test_run_epoch_leaderless_convexity_holds():
     p = ModelParams(n=20, r_n=0.4, v_n=0.1, tau_n=0.01)
     traj = run_epoch(sample_initial(p, 11), p, 50)
@@ -337,6 +351,82 @@ def test_leader_step_holds_isolated_agents_without_self_loops(leaders):
     assert np.array_equal(nxt.headings, want_h) and np.array_equal(nxt.speeds, want_v)
     if 0 not in leaders:
         assert nxt.headings[0] == state.headings[0] and nxt.speeds[0] == state.speeds[0]
+
+
+def _two_call_step(graph, headings, speeds, pull):
+    """The averaging step as it was written before headings and speeds were
+    stepped together: graphs.neighbor_sums for each vector, the mean of an
+    agent without neighbors its own value, then the leaders' pull through
+    their indices."""
+    def average(values):
+        out = neighbor_sums(graph, values) / graph.divisors
+        if not graph.self_inclusive:
+            np.copyto(out, values, where=graph.degrees == 0)
+        return out
+
+    new_headings, new_speeds = average(headings), average(speeds)
+    if pull is not None:
+        mask, reference_heading, reference_speed, vartheta = pull
+        leaders, keep = np.flatnonzero(mask), 1.0 - vartheta
+        new_headings[leaders] = keep * new_headings[leaders] + vartheta * reference_heading
+        new_speeds[leaders] = keep * new_speeds[leaders] + vartheta * reference_speed
+    return new_headings, new_speeds
+
+
+def _bits(values):
+    """The bits of float64 ``values``: equal bits tell -0.0 from 0.0."""
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.25]),
+                    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _kernel_cases(draw):
+    m = draw(st.integers(1, 24))
+    positions = draw(hnp.arrays(np.float64, (m, 2), elements=st.floats(0.0, 1.0)))
+    radius = draw(st.floats(0.02, 0.8))
+    values = draw(hnp.arrays(np.float64, (2, m), elements=_VALUES))
+    pull = None
+    if draw(st.booleans()):
+        mask = draw(hnp.arrays(np.bool_, m))
+        pull = (mask, draw(_VALUES), draw(_VALUES), draw(st.floats(0.0, 1.0)))
+    return positions, radius, draw(st.booleans()), values, pull
+
+
+# agents 0 and 1 are followers next to each other with headings -0.0, so the
+# mean of each is -0.0; agent 2 is a leader alone, agent 3 a follower alone
+_NEGATIVE_ZERO_CASE = (np.array([[0.0, 0.0], [0.1, 0.0], [0.9, 0.9], [0.1, 0.9]]), 0.3, False,
+                       np.array([[-0.0, -0.0, 1.5, -0.0], [0.25, -0.0, 0.125, 2.0]]),
+                       (np.array([False, False, True, False]), 0.75, 0.5, 0.5))
+
+
+@given(case=_kernel_cases())
+@example(case=_NEGATIVE_ZERO_CASE)
+@example(case=(*_NEGATIVE_ZERO_CASE[:2], True, *_NEGATIVE_ZERO_CASE[3:]))
+@settings(max_examples=300, deadline=None)
+def test_fused_step_is_the_two_call_rule(case):
+    """dynamics._discrete_step steps headings and speeds in one call; every
+    bit equals the old rule's, for either self-loop convention, agents
+    without neighbors, leaders, and followers whose mean is -0.0."""
+    positions, radius, self_inclusive, values, pull = case
+    graph = build_graph(positions, radius, self_inclusive)
+    want = _two_call_step(graph, values[0].copy(), values[1].copy(), pull)
+    stepped = np.empty_like(values)
+    kernel_pull = None if pull is None else dynamics._leader_pull(*pull)
+    out = stepped.reshape(-1)
+    assert dynamics._discrete_step(graph, values.reshape(-1), out, kernel_pull) is out
+    # the public steps call the same kernel; without leaders, a pull changes nothing
+    state = SwarmState(positions=positions, headings=values[0].copy(), speeds=values[1].copy(),
+                       leader_mask=np.zeros(len(positions), dtype=bool))
+    public = leaderless_discrete_step(state, graph)
+    if pull is not None and pull[0].any():
+        state.leader_mask = pull[0]
+        public = leader_discrete_step(state, graph, *pull[1:])
+    for got in (stepped, (public.headings, public.speeds)):
+        assert np.array_equal(_bits(got[0]), _bits(want[0]))
+        assert np.array_equal(_bits(got[1]), _bits(want[1]))
 
 
 def _one_step(origin: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uniswarm import (GraphSweep, SwarmState, build_graph, connectivity, follower_control, graphs,
-                      spectral_summary)
+from uniswarm import (GraphSweep, ProximityGraph, SwarmState, build_graph, connectivity,
+                      follower_control, graphs, spectral_summary)
 from uniswarm.graphs import (averaging_matrix, leader_fractions, neighbor_sums, normalized_laplacian,
                              pairwise_distances)
 
@@ -300,9 +300,10 @@ def test_condensed_pairs_at_row_boundaries(m):
 
 @pytest.mark.parametrize("self_inclusive", [True, False])
 def test_sweep_graphs_build_no_dense_matrix(self_inclusive):
-    """A graph is its edges: the sweep, the neighbor sums, the leader shares
-    and an agent's control read them alone, and the m x m matrix is built
-    only when asked for, once."""
+    """A graph is its edges: the sweep, the neighbor sums, the averaging
+    kernel's stacked lists, the leader shares and an agent's control read
+    them alone, and the m x m matrix is built only when asked for, once.
+    build_graph, the dense reference, keeps the matrix it built."""
     positions = _marked_swarm(130, 0.15, seed=3)
     steps = np.random.default_rng(4).normal(scale=0.01, size=(40, 130, 2))
     walk = positions + np.cumsum(steps, axis=0)
@@ -315,11 +316,12 @@ def test_sweep_graphs_build_no_dense_matrix(self_inclusive):
     for graph in graphs_seen:
         assert graph.divisors.min() >= 1
         neighbor_sums(graph, mask.astype(float))
+        graph.stacked_lists
         leader_fractions(graph, mask)
         follower_control(0, state, graph, 0.01)
         assert "adjacency" not in vars(graph)
     built = build_graph(walk[-1], 0.15, self_inclusive)
-    assert "adjacency" not in vars(built)
+    assert "adjacency" in vars(built)
     assert np.array_equal(graphs_seen[-1].adjacency, built.adjacency)
     assert graphs_seen[-1].adjacency is graphs_seen[-1].adjacency
 
@@ -645,6 +647,33 @@ def test_neighbor_lists_are_each_row_in_index_order():
     ends = np.append(starts[1:], len(columns))
     for row, start, end in zip(graph.adjacency, starts, ends):
         assert columns[start:end].tolist() == np.flatnonzero(row).tolist()
+
+
+@pytest.mark.parametrize("self_inclusive", [True, False])
+def test_stacked_lists_are_the_lists_twice_with_isolated_nodes_their_own(self_inclusive):
+    graph = _graph_with_isolated_nodes(23, self_inclusive, seed=6)
+    assert (graph.degrees == 0).any() != self_inclusive
+    columns, starts, divisors = graph.stacked_lists
+    assert graph.stacked_lists is graph.stacked_lists  # built once per graph
+    assert np.array_equal(divisors, np.concatenate((graph.divisors, graph.divisors)))
+    ends = np.append(starts[1:], len(columns))
+    assert len(starts) == 46 and (ends > starts).all()
+    for i, (start, end) in enumerate(zip(starts, ends)):
+        row = np.flatnonzero(graph.adjacency[i % 23])
+        want = (row if len(row) else np.array([i % 23])) + 23 * (i >= 23)
+        assert columns[start:end].tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("self_inclusive", [True, False])
+def test_build_graph_keeps_the_matrix_it_built(self_inclusive):
+    x = np.random.default_rng(8).random((60, 2))
+    graph = build_graph(x, 0.2, self_inclusive)
+    assert "adjacency" in vars(graph)
+    want = pairwise_distances(x) < 0.2
+    np.fill_diagonal(want, self_inclusive)
+    assert np.array_equal(graph.adjacency, want) and graph.adjacency is graph.adjacency
+    # the matrix that its edges scatter into
+    assert np.array_equal(ProximityGraph(0.2, 60, graph.edges, self_inclusive).adjacency, want)
 
 
 @pytest.mark.parametrize("m", [2, 23, 130, 500])

@@ -1,5 +1,6 @@
 import dataclasses
 import threading
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from uniswarm.dynamics import LEADER_CONSTANT, LEADER_DYNAMIC, LEADERLESS, Swarm
 from uniswarm.graphs import (averaging_matrix, averaging_rows, leader_fractions,
                              pairwise_distances)
 from uniswarm.metrics import (FAIL, PASS, REPORT, SKIP, EnvelopeAuditReport, StepMetrics,
-                              _audit_block, _envelope_integral, write_metrics_csv)
+                              StepMetricsTable, _audit_block, _envelope_integral,
+                              write_metrics_csv)
 
 from conftest import envelope_integral_oracle, make_state, matrix_deviation
 
@@ -729,6 +731,51 @@ def test_write_metrics_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("k,delta_theta,delta_v")
     assert len(lines) == 2
+
+
+def _listed_step_metrics(instants, traj):
+    """RunPass.step_metrics as it was before it kept columns: a list of rows."""
+    steps = traj.n_steps
+    previous = np.clip(np.arange(steps + 1) - 1, 0, steps - 1)
+    columns = metrics._sync_columns(traj.headings, traj.speeds, traj.reference_headings[previous],
+                                    np.full(steps + 1, traj.reference_speed))
+    return [StepMetrics(k, *row) for k, row in enumerate(zip(
+        *(c.tolist() for c in columns), instants._drift, instants._p_deviation,
+        instants._alpha_drift, instants.connected))]
+
+
+@pytest.mark.parametrize("mode", [LEADERLESS, LEADER_CONSTANT])
+def test_step_metrics_table_gives_what_the_list_gave(tmp_path, mode):
+    # the graph is connected at some instants and not at others
+    p = ModelParams(n=10, alpha_n=0.0 if mode == LEADERLESS else 0.2, r_n=0.5, v_n=0.3,
+                    tau_n=0.02)
+    state = sample_initial(p, 5)
+    instants = RunPass(state)
+    traj = run_epoch(state, p, 60, controller=mode, reference_heading=0.4,
+                     observer=instants.observe)
+    table, listed = instants.step_metrics(traj), _listed_step_metrics(instants, traj)
+    assert isinstance(table, StepMetricsTable) and isinstance(table, Sequence)
+    assert len(table) == len(listed) == 61
+    # repr is exact for floats and matches nan with nan
+    assert repr(table) == repr(listed)
+    assert [repr(row) for row in table] == [repr(row) for row in listed]
+    for i in (0, 7, 60, -1, -61):
+        assert repr(table[i]) == repr(listed[i])
+    assert repr(table[5:9]) == repr(listed[5:9]) and repr(table[::-7]) == repr(listed[::-7])
+    for i in (61, -62):
+        with pytest.raises(IndexError):
+            table[i]
+    floats = [f.name for f in dataclasses.fields(StepMetrics) if f.name not in ("k", "connected")]
+    for row in (*table, table[-1], table[3]):
+        assert type(row) is StepMetrics
+        assert type(row.k) is int and type(row.connected) is bool
+        assert all(type(getattr(row, name)) is float for name in floats)
+    assert any(not row.connected for row in table) and any(row.connected for row in table)
+    if mode == LEADER_CONSTANT:  # no nan, so rows compare equal
+        assert table == listed and listed == table and table == instants.step_metrics(traj)
+    write_metrics_csv(table, tmp_path / "table.csv")
+    write_metrics_csv(listed, tmp_path / "list.csv")
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
 
 
 # --- run()'s fused pass against the per-instant oracle ------------------------
