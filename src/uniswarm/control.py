@@ -28,7 +28,7 @@ class ControlSignal:
 def follower_control(agent: int, state: SwarmState, graph: ProximityGraph, tau: float) -> ControlSignal:
     """Nearest-neighbor rule: average state differences over current neighbors,
     scaled by 1/tau so one hold interval lands exactly on the neighbor mean."""
-    columns, starts = graph.neighbor_lists
+    columns, starts, _ = graph.stacked_lists
     neighbors = columns[starts[agent]:starts[agent] + graph.degrees[agent]]
     degree = float(graph.divisors[agent])
     d_theta = float(np.sum(state.headings[neighbors] - state.headings[agent]))

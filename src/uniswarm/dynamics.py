@@ -127,8 +127,10 @@ class ModelParams:
             raise ValueError(f"alpha_n must be in [0, 1], got {self.alpha_n}")
         if not 0 <= self.vartheta <= 1:
             raise ValueError(f"vartheta must be in [0, 1], got {self.vartheta}")
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        for name in ("eta", "eta_n", "c", "c_prime"):
+            value = getattr(self, name)
+            if not (value is None or value > 0):  # eta_n None: c * r_n^2
+                raise ValueError(f"{name} must be positive, got {value}")
         if strict:
             if not 0 < self.vartheta:
                 raise ValueError("strict mode requires 0 < vartheta <= 1")

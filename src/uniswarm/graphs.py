@@ -41,45 +41,38 @@ class ProximityGraph:
     @cached_property
     def degrees(self) -> np.ndarray:
         """d_i, the (m,) int neighbor counts, the node itself included when
-        the graph is self-inclusive: the lengths of the rows of
-        :attr:`neighbor_lists`."""
-        columns, starts = self.neighbor_lists
-        return np.diff(starts, append=len(columns))
+        the graph is self-inclusive: the lengths of the rows of ``edges``,
+        row i holding the indices from i*m up to (i+1)*m."""
+        m = self.node_count
+        return np.diff(np.searchsorted(self.edges, np.arange(m + 1) * m))
 
     @cached_property
     def divisors(self) -> np.ndarray:
         """max(d_i, 1) as floats, the divisors of a neighbor mean (see
-        :func:`neighbor_sums`), built on first use and kept with the graph."""
-        return np.maximum(self.degrees, 1).astype(float)
-
-    @cached_property
-    def neighbor_lists(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each node's neighbors in index order, built on first use and kept
-        with the graph: the flat ``columns`` of rows 0..m-1, one row after
-        the other, and the (m,) ``starts`` of the rows in ``columns``.  A row
-        without neighbors, which only a graph without self loops can have,
-        starts where the next row does."""
-        m = self.node_count
-        return self.edges % m, np.searchsorted(self.edges, np.arange(m) * m)
+        :func:`neighbor_sums`): a view of the first half of the
+        :attr:`stacked_lists` divisors."""
+        return self.stacked_lists[2][:self.node_count]
 
     @cached_property
     def stacked_lists(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:attr:`neighbor_lists` and :attr:`divisors` laid out twice, for the
-        neighbor means of two (m,) vectors stacked into one flat (2m,) vector:
-        ``columns``, ``starts`` and ``divisors``, the second copy's
-        ``columns`` shifted by m and its ``starts`` by the length of the
-        first copy's ``columns``.  A node without neighbors, which only a
-        graph without self loops has, is listed here as its own one
-        neighbor, so that no row is empty and its mean is its own value.
-        Built on first use and kept with the graph."""
-        columns, starts = self.neighbor_lists
-        held = self.degrees == 0
-        if held.any():
-            columns = np.insert(columns, starts[held], np.flatnonzero(held))
-            starts = starts + np.cumsum(held) - held
-        m, n = self.node_count, len(columns)
-        return (np.concatenate((columns, columns + m)), np.concatenate((starts, starts + n)),
-                np.tile(self.divisors, 2))
+        """The graph's one neighbor list, built on first use and kept with
+        the graph, laid out twice for the neighbor means of two (m,) vectors
+        stacked into one flat (2m,) vector: ``columns``, ``starts`` and
+        ``divisors``.  The first copy holds each node's neighbors in index
+        order, row after row, the (m,) starts of the rows and the (m,)
+        max(d_i, 1); the second copy's ``columns`` are shifted by m and its
+        ``starts`` by the first copy's length.  A node without neighbors,
+        which only a graph without self loops has, is its own one neighbor
+        here, so that no row is empty and its mean is its own value."""
+        m, degrees = self.node_count, self.degrees
+        columns = self.edges % m
+        held = np.flatnonzero(degrees == 0)
+        if len(held):
+            columns = np.insert(columns, (np.cumsum(degrees) - degrees)[held], held)
+        lengths = np.maximum(degrees, 1)
+        starts = np.cumsum(lengths) - lengths
+        return (np.concatenate((columns, columns + m)),
+                np.concatenate((starts, starts + len(columns))), np.tile(lengths.astype(float), 2))
 
 
 @dataclass(frozen=True)
@@ -89,13 +82,12 @@ class SpectralSummary:
     is_connected: bool
 
 
-def pairwise_distances(positions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The (m, m) Euclidean distances of the (m, 2) positions, written to
-    ``out`` when given."""
+def pairwise_distances(positions: np.ndarray) -> np.ndarray:
+    """The (m, m) Euclidean distances of the (m, 2) positions."""
     from scipy.spatial.distance import cdist
 
     positions = np.asarray(positions, dtype=float)
-    return cdist(positions, positions, out=out)
+    return cdist(positions, positions)
 
 
 def _shaped_positions(positions: np.ndarray, ndim: int = 2) -> np.ndarray:
@@ -508,29 +500,24 @@ def averaging_rows(graph: ProximityGraph, rows: np.ndarray) -> np.ndarray:
     return p
 
 
-def neighbor_sums(graph: ProximityGraph, values: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """The sum of the float ``values`` over each node's neighbors, written to
-    ``out`` when given; 0 for a node without neighbors.
+def neighbor_sums(graph: ProximityGraph, values: np.ndarray) -> np.ndarray:
+    """The sum of the float ``values`` over each node's neighbors; 0 for a
+    node without neighbors.
 
     Every neighborhood sum of the library is taken in one fixed order: a
-    row's neighbors in index order, added by ``np.add.reduceat``, here or,
-    for the averaging step, over :attr:`ProximityGraph.stacked_lists`.
-    No BLAS product is involved, so the bits of a run do not depend on the
-    BLAS build or on the CPU's kernel (the principle of Demmel and Nguyen,
-    "Fast Reproducible Floating-Point Summation", ARITH 21, 2013).
-    ``reduceat`` gives an empty segment the element at its start, not 0, so
-    only the rows with neighbors reach it.
+    row's neighbors in index order, added by ``np.add.reduceat`` over
+    :attr:`ProximityGraph.stacked_lists`, its first half here and both
+    halves in the averaging step.  No BLAS product is involved, so the bits
+    of a run do not depend on the BLAS build or on the CPU's kernel (the
+    principle of Demmel and Nguyen, "Fast Reproducible Floating-Point
+    Summation", ARITH 21, 2013).  The list holds a node without neighbors
+    as its own one neighbor, so its row is set to 0 after the sum.
     """
-    columns, starts = graph.neighbor_lists
-    gathered = values[columns]
-    if graph.self_inclusive:  # every row holds at least its own node
-        return np.add.reduceat(gathered, starts, out=out)
-    occupied = np.flatnonzero(graph.degrees)
-    out = np.empty(graph.node_count) if out is None else out
-    out.fill(0.0)
-    out[occupied] = np.add.reduceat(gathered, starts[occupied])
-    return out
+    m = graph.node_count
+    columns, starts, _ = graph.stacked_lists
+    sums = np.add.reduceat(values[columns[:len(columns) // 2]], starts[:m])
+    sums[graph.degrees == 0] = 0.0
+    return sums
 
 
 def leader_fractions(graph: ProximityGraph,

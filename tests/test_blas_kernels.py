@@ -18,8 +18,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 CORETYPES = ("Sandybridge", "Haswell")
 
 # One small config of each mode, each run with export into argv[2]/<mode>,
-# and a leaderless m = 500 run, whose envelope scale is the norm of 500
-# speeds: a BLAS dot product rounds it differently under the SkylakeX kernel.
+# a leaderless m = 500 run, whose envelope scale is the norm of 500 speeds:
+# a BLAS dot product rounds it differently under the SkylakeX kernel, and a
+# leader run without self loops, whose graphs hold agents without neighbors.
 _SCRIPT = """
 import sys
 from pathlib import Path
@@ -35,6 +36,10 @@ run(RunConfig(params=ModelParams(n=100, alpha_n=0.3, r_n=0.3, v_n=0.1, tau_n=0.0
                                  vartheta=0.5),
               steps=300, seed=0, mode=LEADER_CONSTANT, reference_heading=np.pi / 4),
     out_dir=out / "leader_constant")
+run(RunConfig(params=ModelParams(n=60, alpha_n=0.2, r_n=0.12, v_n=0.1, tau_n=0.01,
+                                 vartheta=0.5, self_inclusive=False),
+              steps=100, seed=0, mode=LEADER_CONSTANT, reference_heading=np.pi / 4),
+    out_dir=out / "leader_constant_isolated")
 run(scenario_fig3(seed=0, steps=600), out_dir=out / "leader_dynamic")
 """
 
@@ -85,7 +90,8 @@ def test_outputs_are_byte_equal_under_each_blas_kernel(tmp_path):
                        env=_env(coretype), capture_output=True, check=True, timeout=300)
     first, *others = kernels
     for other in others:
-        for mode in ("leaderless", "leaderless_m500", "leader_constant", "leader_dynamic"):
+        for mode in ("leaderless", "leaderless_m500", "leader_constant",
+                     "leader_constant_isolated", "leader_dynamic"):
             for name in ("trajectory.npy", "trajectory.csv", "audits.json"):
                 assert ((tmp_path / first / mode / name).read_bytes()
                         == (tmp_path / other / mode / name).read_bytes()), \

@@ -131,6 +131,22 @@ def test_check_with_zero_eta_exits_2(tmp_path, capsys):
     assert err.startswith("config error: eta must be positive") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field, value", [("c", -1.0), ("c", 0.0), ("c_prime", -1.0),
+                                          ("c_prime", 0.0), ("eta_n", -0.1), ("eta_n", 0.0)])
+@pytest.mark.parametrize("command", [["run"], ["check"], ["campaign", "--seeds", "0..1"]])
+def test_constant_not_positive_exits_2(tmp_path, capsys, field, value, command):
+    # theorem 1's right side and the drift budget would be <= 0
+    config = {"params": {"n": 8, "r_n": 0.5, "v_n": 0.05, "tau_n": 0.01, field: value},
+              "steps": 3}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = [] if command == ["check"] else ["--out", str(tmp_path / "out")]
+    assert main([command[0], "--config", str(path), *command[1:], *out]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {field} must be positive, got {value}\n"
+    assert captured.out == "" and not (tmp_path / "out").exists()
+
+
 def test_check_includes_leader_conditions(tmp_path, capsys):
     params = ModelParams(n=8, r_n=0.5, v_n=0.05, tau_n=0.01, alpha_n=0.25)
     cfg = RunConfig(params=params, steps=5, seed=0, mode="leader_constant",

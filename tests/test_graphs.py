@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uniswarm import (GraphSweep, ProximityGraph, SwarmState, build_graph, connectivity,
-                      follower_control, graphs, spectral_summary)
+from uniswarm import (LEADER_CONSTANT, GraphSweep, ModelParams, ProximityGraph, SwarmState,
+                      build_graph, connectivity, follower_control, graphs, run_epoch,
+                      sample_initial, spectral_summary)
 from uniswarm.graphs import (averaging_matrix, leader_fractions, neighbor_sums, normalized_laplacian,
                              pairwise_distances)
 
@@ -445,9 +447,15 @@ def test_sweep_graph_equals_the_dense_derivation(m, radius, self_inclusive):
     assert graph.degrees.dtype == degrees.dtype
     assert np.array_equal(graph.degrees, degrees)
     assert np.array_equal(graph.edges, np.flatnonzero(dense))
-    columns, starts = graph.neighbor_lists
-    assert np.array_equal(columns, np.flatnonzero(dense) % m)
-    assert np.array_equal(starts, np.cumsum(degrees) - degrees)
+    # the first half of the stacked lists: each row in index order, an
+    # isolated agent's row holding the agent itself
+    columns, starts, _ = graph.stacked_lists
+    lengths = np.maximum(degrees, 1)
+    columns, starts = columns[:lengths.sum()], starts[:m]
+    assert np.array_equal(starts, np.cumsum(lengths) - lengths)
+    held = starts[degrees == 0]
+    assert np.array_equal(columns[held], np.flatnonzero(degrees == 0))
+    assert np.array_equal(np.delete(columns, held), np.flatnonzero(dense) % m)
     assert degrees[0] == self_inclusive  # agent 0 is isolated
     if m >= 5:
         assert dense[1, 2] and dense[2, 1]  # coincident agents are neighbors
@@ -624,12 +632,10 @@ def test_neighbor_sums_take_each_row_in_index_order(m, self_inclusive):
 
 
 @pytest.mark.parametrize("self_inclusive", [True, False])
-def test_neighbor_sums_write_out_and_zero_the_empty_rows(self_inclusive):
+def test_neighbor_sums_zero_the_empty_rows(self_inclusive):
     graph = _graph_with_isolated_nodes(23, self_inclusive, seed=4)
     values = np.random.default_rng(5).random(23)
-    out = np.full(23, np.nan)
-    assert neighbor_sums(graph, values, out=out) is out
-    assert np.array_equal(out, neighbor_sums(graph, values))
+    out = neighbor_sums(graph, values)
     empty = graph.degrees == 0
     assert empty.any() == (not self_inclusive)
     assert (out[empty] == 0.0).all()
@@ -642,11 +648,25 @@ def test_neighbor_sums_without_any_edge():
 
 def test_neighbor_lists_are_each_row_in_index_order():
     graph = _graph_with_isolated_nodes(23, False, seed=6)
-    columns, starts = graph.neighbor_lists
-    assert graph.neighbor_lists is graph.neighbor_lists  # built once per graph
-    ends = np.append(starts[1:], len(columns))
-    for row, start, end in zip(graph.adjacency, starts, ends):
-        assert columns[start:end].tolist() == np.flatnonzero(row).tolist()
+    columns, starts, divisors = graph.stacked_lists
+    assert graph.stacked_lists is graph.stacked_lists  # built once per graph
+    assert np.shares_memory(graph.divisors, divisors)  # and the graph's only list
+    for row, start, degree in zip(graph.adjacency, starts[:23], graph.degrees):
+        assert columns[start:start + degree].tolist() == np.flatnonzero(row).tolist()
+
+
+@pytest.mark.parametrize("self_inclusive", [True, False])
+def test_a_graph_caches_one_neighbor_list(self_inclusive):
+    params = ModelParams(n=60, alpha_n=0.2, r_n=0.12, v_n=0.1, tau_n=0.01,
+                         self_inclusive=self_inclusive)
+    seen = []
+    run_epoch(sample_initial(params, 0), params, 40, controller=LEADER_CONSTANT,
+              reference_heading=0.3,
+              observer=lambda graph, distances: seen.extend([graph] * len(distances)))
+    assert len(seen) == 41 and (seen[0].degrees == 0).any() != self_inclusive
+    fields = {field.name for field in dataclasses.fields(ProximityGraph)}
+    for graph in seen:  # the caches beside the fields
+        assert set(vars(graph)) - fields <= {"adjacency", "degrees", "divisors", "stacked_lists"}
 
 
 @pytest.mark.parametrize("self_inclusive", [True, False])

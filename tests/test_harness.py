@@ -52,6 +52,12 @@ def test_config_validation():
     cfg = _leaderless_config(substeps=0)
     with pytest.raises(ValueError, match="substeps"):
         cfg.validate()
+    for name in ("eta", "eta_n", "c", "c_prime"):
+        for value in (0.0, -1.0):
+            cfg = _leaderless_config()
+            setattr(cfg.params, name, value)
+            with pytest.raises(ValueError, match=f"^{name} must be positive, got {value}$"):
+                cfg.validate()
 
 
 def test_config_json_roundtrip(tmp_path):
